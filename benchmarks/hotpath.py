@@ -22,9 +22,10 @@ snapshot file (default ``BENCH_10.json`` at the repo root) and, when both
 the trend gate holds to a 10% budget; ``--json`` echoes the updated
 snapshot to stdout.
 
-Meter naming convention (``bench_trend.py`` relies on it): ``*_per_sec``
-meters are rates where higher is better; ``*_sec`` meters are durations
-where lower is better (speedup = baseline / optimized).
+Meter naming convention (the trend gate, ``python -m repro.warehouse
+trend --gate``, relies on it): ``*_per_sec`` meters are rates where
+higher is better; ``*_sec`` meters are durations where lower is better
+(speedup = baseline / optimized).
 
 The workloads are deterministic; rates are wall-clock and therefore
 machine-dependent, which is why the snapshot stores both sides of the
@@ -41,8 +42,6 @@ import subprocess
 import time
 from pathlib import Path
 
-from meters import is_duration_meter
-
 from repro.evm.bytecode import Assembler
 from repro.evm.interpreter import Interpreter
 from repro.hardware.node import FireFlyNode
@@ -50,6 +49,7 @@ from repro.net.medium import Medium
 from repro.net.packet import BROADCAST, Packet
 from repro.net.topology import full_mesh
 from repro.sim.engine import Engine
+from repro.warehouse.query import is_duration_meter
 
 REPS = 5
 """Each metric is measured REPS times; the best rate is recorded."""
@@ -346,8 +346,6 @@ def _dist_scale_bench(n_clients: int = 1000) -> dict[str, float]:
         sock = coordinator_mod.connect(address, role="client",
                                        name=f"ramp-{i}", timeout=60.0)
         sock.settimeout(60.0)
-        header, _ = recv_message(sock)
-        assert header["type"] == "welcome"
         return sock
 
     best_ramp = float("inf")
@@ -443,39 +441,6 @@ def bench_plant_steps(n_steps: int = 3_000) -> float:
     from repro.plant.gas_plant import NaturalGasPlant
 
     plant = NaturalGasPlant()
-    plant.enable_local_control()
-
-    def measure():
-        start = time.perf_counter()
-        for _ in range(n_steps):
-            plant.step(0.5)
-        elapsed = time.perf_counter() - start
-        return n_steps, elapsed
-
-    return _best_rate(measure)
-
-
-def _flowsheet_np_available() -> bool:
-    """True when numpy is importable and the plant grew the backend knob."""
-    try:
-        import numpy  # noqa: F401
-    except ImportError:
-        return False
-    import inspect
-
-    from repro.plant.gas_plant import NaturalGasPlant
-    return "backend" in inspect.signature(NaturalGasPlant.__init__).parameters
-
-
-def bench_flowsheet_np_steps(n_steps: int = 3_000) -> float:
-    """The same plant advance on the numpy flowsheet backend
-    (``NaturalGasPlant(backend="np")``) -- conformance-grade: the backend
-    must stay bit-identical to the scalar sweep, and this meter tracks
-    what that costs (numpy per-op dispatch is overhead-bound at
-    single-flowsheet width)."""
-    from repro.plant.gas_plant import NaturalGasPlant
-
-    plant = NaturalGasPlant(backend="np")
     plant.enable_local_control()
 
     def measure():
@@ -661,19 +626,11 @@ METRICS = {
     "dist_fairshare_makespan_sec": bench_dist_fairshare_makespan,
     "warehouse_ingest_runs_per_sec": bench_warehouse_ingest,
     "plant_steps_per_sec": bench_plant_steps,
-    "flowsheet_np_steps_per_sec": bench_flowsheet_np_steps,
     "traced_events_per_sec": bench_traced_events,
     "widegrid_trial_sec": bench_widegrid_trial,
     "widegrid_256_trial_sec": bench_widegrid_256_trial,
     "widegrid_1000_trial_sec": bench_widegrid_1000_trial,
 }
-
-AVAILABILITY = {
-    "flowsheet_np_steps_per_sec": _flowsheet_np_available,
-}
-"""Meters that need an optional capability; unavailable ones are skipped
-(the trend gate tolerates meters absent from a snapshot)."""
-
 
 OBS_OVERHEAD_METERS = (
     "events_per_sec",
@@ -694,10 +651,6 @@ constrains.
 def run_all() -> dict[str, float]:
     results = {}
     for name, fn in METRICS.items():
-        gate = AVAILABILITY.get(name)
-        if gate is not None and not gate():
-            print(f"  {name:<28} {'(skipped: unavailable)':>14}")
-            continue
         value = fn()
         if is_duration_meter(name):
             results[name] = round(value, 3)
@@ -713,8 +666,8 @@ def run_obs_overhead() -> dict[str, dict[str, float]]:
 
     Returns ``{meter: {"off": rate, "on": rate, "overhead_pct": pct}}``
     where ``overhead_pct`` is the rate lost with a live registry
-    (positive = slower with telemetry); ``bench_trend.py`` fails the
-    gate when any row exceeds 10%.
+    (positive = slower with telemetry); the trend gate fails when any
+    row exceeds 10%.
     """
     import repro.obs as obs
 
@@ -783,8 +736,8 @@ def main() -> None:
                         "dist wire meters (frame relay rate, 1000-client "
                         "connect ramp, echo latency under load, three-tenant fair-share makespan), "
                         "results-warehouse campaign-store ingest, plant "
-                        "stepping on the scalar and numpy flowsheet "
-                        "backends, trace recording, the 100/256/1000-node "
+                        "stepping on the fused flowsheet kernels, trace "
+                        "recording, the 100/256/1000-node "
                         "wide-grid failover trials and the repro.obs "
                         "telemetry-on overhead table "
                         "(benchmarks/hotpath.py)"),

@@ -28,17 +28,18 @@ single event loop:
 
 Wire semantics are unchanged from the threaded broker -- same frame
 types, same lease/requeue/first-result-wins rules, same ``status()``
-shape -- plus the negotiated extensions from :mod:`repro.dist
-.protocol`: per-frame zlib compression toward ``"zlib"`` peers,
-``job_batch``/``result_batch`` frames toward ``"batch"`` peers, and
-per-submit scheduling weights from ``"sched"`` clients.
+shape -- plus per-frame zlib compression, ``job_batch``/
+``result_batch`` frames for grant rounds and result bursts, and
+per-submit scheduling weights.  The handshake checks one
+:data:`~repro.dist.protocol.PROTOCOL_VERSION`: a hello at any other
+version (or none) gets an ``error`` frame and a closed connection.
 
 **Fair-share scheduling.**  Pending jobs live in per-campaign queues
 (one per client batch) drained by the weighted deficit-round-robin
 arbiter in :mod:`repro.dist.fairshare` rather than one global FIFO: a
-tenant's grant share tracks its declared ``weight`` (default 1;
-clients that never negotiated ``"sched"`` are plain weight-1 tenants,
-which for a single client is *exactly* the old FIFO order), a
+tenant's grant share tracks its declared ``weight`` (default 1: a
+submit without one is a plain weight-1 tenant, which for a single
+client is *exactly* the old FIFO order), a
 late-arriving campaign starts earning grants immediately instead of
 waiting out every earlier backlog, and a requeued crashed lease goes
 back to the front of its **own** campaign's queue.
@@ -63,9 +64,6 @@ from typing import Any, Callable, Coroutine
 
 from repro.dist.fairshare import FairScheduler, validate_weight
 from repro.dist.protocol import (
-    FEATURE_BATCH,
-    FEATURE_SCHED,
-    FEATURE_ZLIB,
     MSG_DONE,
     MSG_ERROR,
     MSG_GOODBYE,
@@ -86,9 +84,9 @@ from repro.dist.protocol import (
     MSG_SUBMIT,
     MSG_UNSUBSCRIBE,
     MSG_WELCOME,
+    PROTOCOL_VERSION,
     ConnectionClosed,
     ProtocolError,
-    negotiate_features,
     pack_blob_list,
     pack_message,
     recv_message_async,
@@ -195,22 +193,18 @@ class CoordinatorStats:
 
 
 class _AioPeer:
-    """One connection: streams, negotiated features, and the bounded
-    send queue its writer task drains with frame coalescing."""
+    """One connection: streams and the bounded send queue its writer
+    task drains with frame coalescing."""
 
-    __slots__ = ("id", "name", "reader", "writer", "features", "compress",
-                 "batch", "alive", "queue", "writer_task")
+    __slots__ = ("id", "name", "reader", "writer", "alive", "queue",
+                 "writer_task")
 
     def __init__(self, peer_id: int, reader: asyncio.StreamReader,
-                 writer: asyncio.StreamWriter, name: str,
-                 features: set[str]) -> None:
+                 writer: asyncio.StreamWriter, name: str) -> None:
         self.id = peer_id
         self.name = name
         self.reader = reader
         self.writer = writer
-        self.features = features
-        self.compress = FEATURE_ZLIB in features
-        self.batch = FEATURE_BATCH in features
         self.alive = True
         self.queue: asyncio.Queue[bytes | None] = \
             asyncio.Queue(maxsize=SEND_QUEUE_FRAMES)
@@ -223,7 +217,7 @@ class _AioPeer:
         actual teardown, exactly like the threaded broker."""
         if not self.alive:
             return False
-        frame = pack_message(header, payload, compress=self.compress)
+        frame = pack_message(header, payload)
         await self.queue.put(frame)
         return self.alive
 
@@ -233,7 +227,7 @@ class _AioPeer:
         (the status broadcaster): False when dead or backlogged."""
         if not self.alive:
             return False
-        frame = pack_message(header, payload, compress=self.compress)
+        frame = pack_message(header, payload)
         try:
             self.queue.put_nowait(frame)
         except asyncio.QueueFull:
@@ -266,9 +260,8 @@ class _AioWorker(_AioPeer):
     __slots__ = ("slots", "inflight", "last_seen", "leases_granted",
                  "lease_wait_total", "retiring")
 
-    def __init__(self, peer_id, reader, writer, name, features,
-                 slots: int) -> None:
-        super().__init__(peer_id, reader, writer, name, features)
+    def __init__(self, peer_id, reader, writer, name, slots: int) -> None:
+        super().__init__(peer_id, reader, writer, name)
         self.slots = max(1, slots)
         self.inflight: set[str] = set()
         self.last_seen = time.monotonic()
@@ -286,17 +279,15 @@ class _AioClient(_AioPeer):
     __slots__ = ("outstanding", "completed", "failed", "batches",
                  "subscribed", "subscribe_period", "last_push",
                  "batch_started", "batch_settled", "result_outbox",
-                 "flush_scheduled", "done_payload", "sched", "weight")
+                 "flush_scheduled", "done_payload", "weight")
 
-    def __init__(self, peer_id, reader, writer, name, features) -> None:
-        super().__init__(peer_id, reader, writer, name, features)
+    def __init__(self, peer_id, reader, writer, name) -> None:
+        super().__init__(peer_id, reader, writer, name)
         self.outstanding: set[str] = set()
         self.completed = 0
         self.failed = 0
         self.batches = 0
-        # Fair-share tenancy: weights are only honoured from clients
-        # that negotiated "sched" (old clients stay weight-1 lanes).
-        self.sched = FEATURE_SCHED in features
+        # Fair-share tenancy: the weight of the latest submit.
         self.weight = 1.0
         # Status-stream subscription (set by a "subscribe" frame).  The
         # broadcaster timer pushes "status_update" frames at
@@ -311,10 +302,10 @@ class _AioClient(_AioPeer):
         # diluted by post-completion idle time.
         self.batch_started = 0.0
         self.batch_settled = 0.0
-        # Batch-path delivery: settled results pile here until the
-        # scheduled flush ships them as one result_batch frame.  The
-        # done frame's counters are captured at settle time (a submit
-        # racing the flush must not reset them under it).
+        # Settled results pile here until the scheduled flush ships
+        # them as one result_batch frame.  The done frame's counters
+        # are captured at settle time (a submit racing the flush must
+        # not reset them under it).
         self.result_outbox: list[tuple[dict[str, Any],
                                        Any]] = []
         self.flush_scheduled = False
@@ -454,9 +445,11 @@ class AsyncCoordinator:
     # ------------------------------------------------------------------
     async def _on_connection(self, reader: asyncio.StreamReader,
                              writer: asyncio.StreamWriter) -> None:
-        """Handshake, then the role-specific read loop.  A malformed
-        hello just drops the connection -- a bad peer must not kill
-        the broker or leak the accepted transport."""
+        """Handshake, then the role-specific read loop.  A hello at
+        another protocol version is answered with an ``error`` frame
+        naming both versions; any other malformed hello just drops the
+        connection -- a bad peer must not kill the broker or leak the
+        accepted transport."""
         task = asyncio.current_task()
         if task is not None:
             self._conn_tasks.add(task)
@@ -473,6 +466,13 @@ class AsyncCoordinator:
                     recv_message_async(reader), timeout=30.0)
                 if header.get("type") != MSG_HELLO:
                     raise ProtocolError("expected hello")
+                version = header.get("version")
+                if version != PROTOCOL_VERSION:
+                    await self._refuse(
+                        writer, f"protocol version mismatch: coordinator "
+                                f"speaks version {PROTOCOL_VERSION}, peer "
+                                f"sent {version!r}")
+                    return
                 role = header.get("role")
                 if role == "worker":
                     slots = int(header.get("slots", 1))
@@ -480,35 +480,42 @@ class AsyncCoordinator:
                     raise ProtocolError(f"unknown role {role!r}")
                 peer_id = next(self._peer_ids)
                 name = str(header.get("name", f"peer-{peer_id}"))
-                features = negotiate_features(header.get("features"))
             except (ConnectionClosed, ProtocolError, asyncio.TimeoutError,
                     OSError, ValueError, TypeError):
                 writer.transport.abort()
                 return
             if role == "worker":
-                worker = _AioWorker(peer_id, reader, writer, name,
-                                    features, slots)
+                worker = _AioWorker(peer_id, reader, writer, name, slots)
                 worker.writer_task = asyncio.ensure_future(
                     self._writer_loop(worker))
                 self._workers[peer_id] = worker
                 await worker.send({"type": MSG_WELCOME,
                                    "worker_id": peer_id,
-                                   "features": sorted(features)})
+                                   "version": PROTOCOL_VERSION})
                 await self._dispatch()
                 await self._worker_loop(worker)
             else:
-                client = _AioClient(peer_id, reader, writer, name,
-                                    features)
+                client = _AioClient(peer_id, reader, writer, name)
                 client.writer_task = asyncio.ensure_future(
                     self._writer_loop(client))
                 self._clients[peer_id] = client
                 await client.send({"type": MSG_WELCOME,
                                    "client_id": peer_id,
-                                   "features": sorted(features)})
+                                   "version": PROTOCOL_VERSION})
                 await self._client_loop(client)
         except asyncio.CancelledError:
             writer.transport.abort()
             raise
+
+    @staticmethod
+    async def _refuse(writer: asyncio.StreamWriter, error: str) -> None:
+        """Answer a hello with one ``error`` frame, then close."""
+        writer.write(pack_message({"type": MSG_ERROR, "error": error}))
+        try:
+            await asyncio.wait_for(writer.drain(), timeout=2.0)
+        except (asyncio.TimeoutError, ConnectionError, OSError):
+            pass
+        writer.close()
 
     async def _writer_loop(self, peer: _AioPeer) -> None:
         """Drain the peer's send queue: every frame already queued is
@@ -646,7 +653,7 @@ class AsyncCoordinator:
             return
         max_attempts = int(header.get("max_attempts", self.max_attempts))
         weight = 1.0
-        if client.sched and "weight" in header:
+        if "weight" in header:
             try:
                 weight = validate_weight(header["weight"])
             except ValueError as exc:
@@ -737,37 +744,29 @@ class AsyncCoordinator:
 
     async def _dispatch(self) -> None:
         """Grant pending jobs and ship them: one ``job_batch`` frame
-        per worker round for ``"batch"`` peers, per-job frames
-        otherwise.  A send that finds the peer dead is resolved by the
-        peer's own teardown (which requeues)."""
+        per worker round (a single job as a plain ``job`` frame).  A
+        send that finds the peer dead is resolved by the peer's own
+        teardown (which requeues)."""
         if self._stopping:
             return
         grants = self._grant_round()
         for worker, jobs in grants.items():
-            if worker.batch and len(jobs) > 1:
-                # Budget-bounded chunks: a grant round of individually
-                # relayable payloads must never aggregate into a frame
-                # pack_message rejects.
-                for chunk in split_batch(jobs,
-                                         lambda job: len(job.payload)):
-                    if len(chunk) == 1:
-                        await worker.send(
-                            {"type": MSG_JOB, "job_id": chunk[0].key,
-                             "attempt": chunk[0].attempts},
-                            chunk[0].payload)
-                        continue
-                    header = {"type": MSG_JOB_BATCH,
-                              "jobs": [{"job_id": job.key,
-                                        "attempt": job.attempts}
-                                       for job in chunk]}
+            # Budget-bounded chunks: a grant round of individually
+            # relayable payloads must never aggregate into a frame
+            # pack_message rejects.
+            for chunk in split_batch(jobs, lambda job: len(job.payload)):
+                if len(chunk) == 1:
                     await worker.send(
-                        header,
-                        pack_blob_list([job.payload for job in chunk]))
-            else:
-                for job in jobs:
-                    await worker.send({"type": MSG_JOB, "job_id": job.key,
-                                       "attempt": job.attempts},
-                                      job.payload)
+                        {"type": MSG_JOB, "job_id": chunk[0].key,
+                         "attempt": chunk[0].attempts},
+                        chunk[0].payload)
+                    continue
+                header = {"type": MSG_JOB_BATCH,
+                          "jobs": [{"job_id": job.key,
+                                    "attempt": job.attempts}
+                                   for job in chunk]}
+                await worker.send(
+                    header, pack_blob_list([job.payload for job in chunk]))
 
     async def _on_result(self, worker: _AioWorker, key: str, ok: bool,
                          error: str | None, payload: memoryview | None,
@@ -818,17 +817,15 @@ class AsyncCoordinator:
 
     async def _deliver(self, job: JobRecord, ok: bool, error: str | None,
                        payload: memoryview | bytes | None) -> None:
-        """Forward one settled job to its client (+ ``done`` when that
-        client's batch is drained).  Single-threaded on the loop and
-        FIFO through the client's send queue, so the ``done`` frame can
-        never overtake the last ``result``.
-
-        ``"batch"`` clients get the outbox path instead: results pile
-        up while the reader keeps settling, and a flush task ships the
-        whole pile as one ``result_batch`` frame at the next loop turn.
-        The ``done`` payload is captured *here* (at settle time) so a
-        new submit racing the flush cannot reset the counters under
-        it."""
+        """Queue one settled job for its client (+ ``done`` when that
+        client's batch is drained).  Results pile up in the client's
+        outbox while the reader keeps settling, and a flush task ships
+        the whole pile as one ``result_batch`` frame at the next loop
+        turn -- single-threaded on the loop and FIFO through the
+        client's send queue, so the ``done`` frame can never overtake
+        the last result.  The ``done`` payload is captured *here* (at
+        settle time) so a new submit racing the flush cannot reset the
+        counters under it."""
         client = self._clients.get(job.client_id)
         if ok:
             self.stats.jobs_completed += 1
@@ -850,21 +847,12 @@ class AsyncCoordinator:
                                 "ok": ok, "attempts": job.attempts}
         if error is not None:
             meta["error"] = error
-        if client.batch:
-            client.result_outbox.append((meta, payload))
-            if not client.outstanding:
-                client.done_payload = {"type": MSG_DONE,
-                                       "completed": client.completed,
-                                       "failed": client.failed}
-            self._schedule_client_flush(client)
-            return
-        header = dict(meta)
-        header["type"] = MSG_RESULT
-        await client.send(header, payload)
+        client.result_outbox.append((meta, payload))
         if not client.outstanding:
-            await client.send({"type": MSG_DONE,
-                               "completed": client.completed,
-                               "failed": client.failed})
+            client.done_payload = {"type": MSG_DONE,
+                                   "completed": client.completed,
+                                   "failed": client.failed}
+        self._schedule_client_flush(client)
 
     def _schedule_client_flush(self, client: _AioClient) -> None:
         if client.flush_scheduled or self._loop is None:
@@ -873,8 +861,8 @@ class AsyncCoordinator:
         self._loop.create_task(self._flush_client(client))
 
     async def _flush_client(self, client: _AioClient) -> None:
-        """Ship a batch client's accumulated results (one frame) and,
-        when its batch drained, the captured ``done``."""
+        """Ship a client's accumulated results (one frame) and, when
+        its batch drained, the captured ``done``."""
         client.flush_scheduled = False
         batch = client.result_outbox
         if batch:

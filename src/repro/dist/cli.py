@@ -67,8 +67,7 @@ def _cmd_worker(args: argparse.Namespace) -> int:
     agent = WorkerAgent(args.connect, processes=args.processes,
                         slots=args.slots or None, name=args.name,
                         heartbeat_period=args.heartbeat,
-                        connect_timeout=args.connect_timeout,
-                        compress=not args.no_compress)
+                        connect_timeout=args.connect_timeout)
     print(f"worker {agent.name} -> {args.connect} "
           f"({args.processes} process(es), {agent.slots} slot(s))",
           flush=True)
@@ -126,7 +125,6 @@ def _follow_status(args: argparse.Namespace) -> int:
                                    timeout=args.connect_timeout)
     updates = 0
     try:
-        recv_message(sock)  # welcome
         send_message(sock, {"type": "subscribe",
                             "period": args.interval})
         while True:
@@ -202,9 +200,6 @@ def build_parser() -> argparse.ArgumentParser:
     worker.add_argument("--connect-timeout", type=float, default=30.0,
                         help="how long to retry dialing the coordinator")
     worker.add_argument("--name", default="")
-    worker.add_argument("--no-compress", action="store_true",
-                        help="do not advertise zlib frame compression "
-                             "(frames stay raw for packet-level debugging)")
     worker.set_defaults(func=_cmd_worker)
 
     status = sub.add_parser("status",

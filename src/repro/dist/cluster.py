@@ -56,8 +56,7 @@ def _src_root():
 def spawn_worker_process(address: str, processes: int = 1,
                          slots: int | None = None,
                          heartbeat_period: float = 2.0,
-                         name: str = "",
-                         compress: bool = True) -> subprocess.Popen:
+                         name: str = "") -> subprocess.Popen:
     """Fork one ``python -m repro.dist worker`` child dialled at
     ``address`` (with ``src`` prepended to its ``PYTHONPATH``).  Each
     worker leads its own process group (``start_new_session``), so
@@ -75,8 +74,6 @@ def spawn_worker_process(address: str, processes: int = 1,
             "--heartbeat", str(heartbeat_period)]
     if name:
         argv += ["--name", name]
-    if not compress:
-        argv.append("--no-compress")
     return subprocess.Popen(
         argv,
         env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
@@ -112,7 +109,6 @@ class LocalCluster:
                  worker_timeout: float | None = None,
                  heartbeat_period: float = 0.2,
                  max_attempts: int | None = None,
-                 compress: bool = True,
                  autoscale: Any = None,
                  autoscale_period: float = 0.25) -> None:
         if mode not in ("thread", "subprocess"):
@@ -123,9 +119,6 @@ class LocalCluster:
             (0 if mode == "thread" else 1)
         self.slots = slots
         self.heartbeat_period = heartbeat_period
-        # Forwarded to every worker and runner: False pins the whole
-        # cluster to raw frames (the interop/debug configuration).
-        self.compress = compress
         kwargs: dict[str, Any] = {}
         if lease_timeout is not None:
             kwargs["lease_timeout"] = lease_timeout
@@ -165,13 +158,11 @@ class LocalCluster:
         if self.mode == "thread":
             agent = WorkerAgent(self.address, processes=self.processes,
                                 slots=self.slots, name=name,
-                                heartbeat_period=self.heartbeat_period,
-                                compress=self.compress)
+                                heartbeat_period=self.heartbeat_period)
             return agent.start()
         return spawn_worker_process(
             self.address, processes=self.processes, slots=self.slots,
-            heartbeat_period=self.heartbeat_period, name=name,
-            compress=self.compress)
+            heartbeat_period=self.heartbeat_period, name=name)
 
     def _append_worker(self) -> None:
         worker = self._spawn_worker(next(self._worker_seq))
@@ -226,8 +217,8 @@ class LocalCluster:
         ingestion (see :class:`DistributedCampaignRunner`)."""
         runner = DistributedCampaignRunner(
             self.address, results_dir=results_dir,
-            max_attempts=max_attempts, compress=self.compress,
-            weight=weight, name=name, warehouse=warehouse, tenant=tenant)
+            max_attempts=max_attempts, weight=weight, name=name,
+            warehouse=warehouse, tenant=tenant)
         self._runners.append(runner)
         return runner
 
@@ -296,13 +287,11 @@ class SubprocessWorkerFleet:
 
     def __init__(self, coordinator: Coordinator, processes: int = 1,
                  slots: int | None = None,
-                 heartbeat_period: float = 2.0,
-                 compress: bool = True) -> None:
+                 heartbeat_period: float = 2.0) -> None:
         self.coordinator = coordinator
         self.processes = processes
         self.slots = slots
         self.heartbeat_period = heartbeat_period
-        self.compress = compress
         self._procs: list[subprocess.Popen] = []
         self._seq = itertools.count(1)
         self._lock = threading.Lock()
@@ -313,7 +302,7 @@ class SubprocessWorkerFleet:
                 self.coordinator.address, processes=self.processes,
                 slots=self.slots,
                 heartbeat_period=self.heartbeat_period,
-                name=f"auto-{next(self._seq)}", compress=self.compress)
+                name=f"auto-{next(self._seq)}")
             with self._lock:
                 self._procs.append(proc)
 

@@ -4,11 +4,18 @@ One :class:`Coordinator` serves two kinds of peers over the framed
 protocol in :mod:`repro.dist.protocol`:
 
 - **clients** (a :class:`~repro.dist.runner.DistributedCampaignRunner`)
-  submit batches of pre-pickled jobs and receive one ``result`` frame
-  per job as it completes, then a ``done`` frame;
+  submit batches of pre-pickled jobs and receive each job's result as
+  it completes (bursts folded into ``result_batch`` frames), then a
+  ``done`` frame;
 - **workers** (a :class:`~repro.dist.worker.WorkerAgent`) announce a
-  slot count and are pushed ``job`` frames up to that many at a time,
-  answering with ``result`` frames and periodic ``heartbeat`` frames.
+  slot count and are pushed ``job``/``job_batch`` frames up to that
+  many at a time, answering with results and periodic ``heartbeat``
+  frames.
+
+Every connection opens with a hello/welcome handshake at one
+:data:`~repro.dist.protocol.PROTOCOL_VERSION`; :func:`connect`
+performs it for every peer and raises :class:`ConnectionError` when
+the coordinator refuses.
 
 Every in-flight job is a **lease**: granted to exactly one worker with
 a hard execution deadline.  A worker that disconnects, misses enough
@@ -56,9 +63,12 @@ from repro.dist.aiobroker import (
 )
 from repro.dist.protocol import (
     DEFAULT_PORT,
+    MSG_ERROR,
     MSG_HELLO,
-    SUPPORTED_FEATURES,
+    MSG_WELCOME,
+    PROTOCOL_VERSION,
     parse_address,
+    recv_message,
     send_message,
 )
 
@@ -257,16 +267,15 @@ class Coordinator:
 
 def connect(address: str, role: str, name: str = "",
             timeout: float = 10.0, retry_period: float = 0.1,
-            slots: int | None = None,
-            features: tuple[str, ...] | list[str] | None = None,
-            ) -> socket.socket:
-    """Dial a coordinator and complete the hello handshake, retrying
-    until ``timeout`` so freshly-forked peers can race the listener up.
-    Shared by the worker agent, the client runner and the CLI.
+            slots: int | None = None) -> socket.socket:
+    """Dial a coordinator and complete the hello/welcome handshake,
+    retrying the dial until ``timeout`` so freshly-forked peers can race
+    the listener up.  Shared by the worker agent, the client runner, the
+    CLI and the obs bridge.
 
-    ``features`` advertises optional protocol extensions (see
-    ``SUPPORTED_FEATURES``); ``None`` advertises none, which every
-    coordinator accepts -- that is the uncompressed-interop path.
+    Raises :class:`ConnectionError` when the coordinator answers with
+    an ``error`` frame (a protocol version it does not speak) or
+    welcomes at a version other than :data:`PROTOCOL_VERSION`.
     """
     host, port = parse_address(address)
     deadline = time.monotonic() + timeout
@@ -283,11 +292,26 @@ def connect(address: str, role: str, name: str = "",
                     f"{last_error}") from last_error
             time.sleep(retry_period)
     sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-    sock.settimeout(None)
-    hello: dict[str, Any] = {"type": MSG_HELLO, "role": role, "name": name}
+    hello: dict[str, Any] = {"type": MSG_HELLO, "role": role, "name": name,
+                             "version": PROTOCOL_VERSION}
     if slots is not None:
         hello["slots"] = slots
-    if features:
-        hello["features"] = [f for f in features if f in SUPPORTED_FEATURES]
-    send_message(sock, hello)
+    try:
+        send_message(sock, hello)
+        reply, _payload = recv_message(sock)
+    except BaseException:
+        sock.close()
+        raise
+    if reply.get("type") == MSG_ERROR:
+        sock.close()
+        raise ConnectionError(f"coordinator at {address} refused the "
+                              f"handshake: {reply.get('error')}")
+    if (reply.get("type") != MSG_WELCOME
+            or reply.get("version") != PROTOCOL_VERSION):
+        sock.close()
+        raise ConnectionError(
+            f"coordinator at {address} replied {reply.get('type')!r} at "
+            f"protocol version {reply.get('version')!r}; this peer "
+            f"speaks version {PROTOCOL_VERSION}")
+    sock.settimeout(None)
     return sock

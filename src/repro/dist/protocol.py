@@ -16,14 +16,16 @@ relies on, so anything that runs locally ships over the wire unchanged.
 **Compression.**  The top bit of the total-length prefix
 (:data:`COMPRESS_FLAG`) marks a frame whose body (header-length word,
 header and payload together) is one zlib stream; the prefix then gives
-the *compressed* length.  Receivers always accept both forms -- the
-flag is all the framing a decoder needs -- so compression is purely a
-sender-side decision.  Senders only compress toward peers that
-advertised the ``"zlib"`` feature in the hello/welcome handshake (see
-:func:`negotiate_features`), which is what lets an old or deliberately
-uncompressed peer interoperate with a compression-enabled coordinator.
-Small or incompressible bodies ship raw even after negotiation: the
-flag is per-frame, not per-connection.
+the *compressed* length.  Senders deflate every body of at least
+:data:`COMPRESS_MIN_BYTES` that actually shrinks and ship the rest
+raw, so receivers always accept both forms -- the flag is per-frame,
+not per-connection, and is all the framing a decoder needs.
+
+**Versioning.**  Every peer ships from the same source tree, so there
+is nothing to negotiate: the ``hello`` and ``welcome`` frames both
+carry :data:`PROTOCOL_VERSION`, and the coordinator answers a hello
+with any other version (or none) with an ``error`` frame naming both
+versions, then closes the connection.
 
 Frames are capped at :data:`MAX_FRAME_BYTES` (before *and* after
 decompression) so a corrupt or hostile length prefix -- or a zlib bomb
@@ -46,8 +48,8 @@ module constants below.  Clients drive ``submit``/``status``/
 ``subscribe`` (acked by ``subscribed``; pushed frames are
 ``status_update`` at the subscriber's requested period until
 ``unsubscribe`` or disconnect).  Workers speak ``heartbeat``/``result``
-and receive ``job``/``shutdown``; peers that negotiated the ``"batch"``
-feature additionally exchange ``job_batch``/``result_batch`` frames
+and receive ``job``/``shutdown``; grant rounds and result bursts of
+more than one entry travel as ``job_batch``/``result_batch`` frames
 that carry N leases or N results in one syscall.
 """
 
@@ -60,7 +62,7 @@ import pickle
 import socket
 import struct
 import zlib
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Sequence
 
 MAX_FRAME_BYTES = 256 * 1024 * 1024
 """Upper bound on one frame body, compressed or decompressed; a length
@@ -72,7 +74,7 @@ COMPRESS_FLAG = 0x8000_0000
 ``MAX_FRAME_BYTES`` is far below 2**31, so the bit is always free."""
 
 COMPRESS_MIN_BYTES = 4096
-"""Bodies below this ship raw even on a zlib-negotiated connection.
+"""Bodies below this ship raw.
 The floor sits well above the deflate break-even on purpose: the
 frame-relay meter showed level-1 zlib costing ~8% end-to-end on small
 batched result frames (localhost, where bytes are nearly free), while
@@ -121,18 +123,10 @@ DEFAULT_PORT = 7461
 """The coordinator's default TCP port (single source: the CLI, the
 broker and address parsing all import it from here)."""
 
-# Connection features a peer may advertise in its hello (and the
-# coordinator acks in its welcome): the negotiated set is the
-# intersection, so either side can unilaterally decline.
-FEATURE_ZLIB = "zlib"
-FEATURE_BATCH = "batch"
-# Fair-share scheduling: a client that negotiated "sched" may declare
-# a per-submit ``weight`` (its share of the grant rounds relative to
-# other tenants).  Clients without it interoperate as weight-1 tenants
-# -- the old strict-FIFO behaviour degrades into the common DRR lane.
-FEATURE_SCHED = "sched"
-SUPPORTED_FEATURES = frozenset({FEATURE_ZLIB, FEATURE_BATCH,
-                                FEATURE_SCHED})
+PROTOCOL_VERSION = 1
+"""The wire version ``hello`` and ``welcome`` carry; a peer at any
+other version is refused at the handshake.  Bump it with any change to
+the frames."""
 
 # Frame types, client-driven ...
 MSG_HELLO = "hello"
@@ -175,22 +169,13 @@ class ConnectionClosed(ConnectionError):
     """The peer closed the socket (EOF mid-frame or between frames)."""
 
 
-def negotiate_features(advertised: Iterable[str] | None) -> set[str]:
-    """The feature set shared with a peer that advertised ``advertised``
-    (absent/None -- an old peer -- negotiates the empty set)."""
-    if not advertised:
-        return set()
-    return {str(f) for f in advertised} & SUPPORTED_FEATURES
-
-
-def pack_message(header: dict[str, Any], payload: bytes | None = None,
-                 compress: bool = False) -> bytes:
+def pack_message(header: dict[str, Any],
+                 payload: bytes | None = None) -> bytes:
     """One wire frame for ``header`` (+ optional pickle ``payload``).
 
-    ``compress=True`` is permission, not a command: the body is
-    deflated only when it is big enough (:data:`COMPRESS_MIN_BYTES`)
-    and actually shrinks; otherwise the raw form ships.  Only pass it
-    for peers that negotiated :data:`FEATURE_ZLIB`.
+    The body is deflated when it is big enough
+    (:data:`COMPRESS_MIN_BYTES`) and actually shrinks; otherwise the
+    raw form ships.
     """
     head = json.dumps(header, separators=(",", ":"),
                       sort_keys=True).encode("utf-8")
@@ -198,7 +183,7 @@ def pack_message(header: dict[str, Any], payload: bytes | None = None,
     body_len = _LEN.size + len(head) + payload_len
     if body_len > MAX_FRAME_BYTES:
         raise ProtocolError(f"frame of {body_len} bytes exceeds cap")
-    if compress and body_len >= COMPRESS_MIN_BYTES:
+    if body_len >= COMPRESS_MIN_BYTES:
         if payload:
             raw = b"".join((_LEN.pack(len(head)), head, payload))
         else:
@@ -214,9 +199,8 @@ def pack_message(header: dict[str, Any], payload: bytes | None = None,
 
 
 def send_message(sock: socket.socket, header: dict[str, Any],
-                 payload: bytes | None = None,
-                 compress: bool = False) -> None:
-    sock.sendall(pack_message(header, payload, compress=compress))
+                 payload: bytes | None = None) -> None:
+    sock.sendall(pack_message(header, payload))
 
 
 def _recv_exact(sock: socket.socket, n: int) -> memoryview:

@@ -43,13 +43,9 @@ from typing import Any, Callable, Sequence
 from repro.dist import coordinator as coordinator_mod
 from repro.dist.fairshare import validate_weight
 from repro.dist.protocol import (
-    FEATURE_BATCH,
-    FEATURE_SCHED,
-    FEATURE_ZLIB,
     ConnectionClosed,
     import_attr,
     loads_payload,
-    negotiate_features,
     pack_blob_list,
     recv_message,
     send_message,
@@ -134,14 +130,13 @@ class DistributedCampaignRunner:
     def __init__(self, address: str, results_dir: str | None = None,
                  max_attempts: int | None = None,
                  connect_timeout: float = 10.0, name: str = "",
-                 compress: bool = True, weight: float = 1.0,
-                 warehouse: Any = None, tenant: str | None = None) -> None:
+                 weight: float = 1.0, warehouse: Any = None,
+                 tenant: str | None = None) -> None:
         self.address = address
         self.results_dir = results_dir
         self.max_attempts = max_attempts
         self.connect_timeout = connect_timeout
         self.name = name or "campaign-client"
-        self.compress = compress
         self.weight = validate_weight(weight)
         self.warehouse = warehouse
         self.tenant = tenant if tenant is not None else self.name
@@ -149,38 +144,19 @@ class DistributedCampaignRunner:
             raise ValueError("warehouse= requires results_dir= (the "
                              "warehouse ingests committed stores)")
         self._sock: socket.socket | None = None
-        # Negotiated per connection at welcome; plain until then.
-        self._tx_compress = False
 
     # ------------------------------------------------------------------
     # Connection lifecycle
     # ------------------------------------------------------------------
     def _connection(self) -> socket.socket:
         if self._sock is None:
-            # "batch" and "sched" are always advertised (the
-            # coordinator folds result bursts into one result_batch
-            # frame toward us, and honours our declared weight); zlib
-            # only when compression is on.
-            features = ((FEATURE_ZLIB, FEATURE_BATCH, FEATURE_SCHED)
-                        if self.compress
-                        else (FEATURE_BATCH, FEATURE_SCHED))
-            sock = coordinator_mod.connect(
+            self._sock = coordinator_mod.connect(
                 self.address, role="client", name=self.name,
-                timeout=self.connect_timeout, features=features)
-            header, _ = recv_message(sock)
-            if header.get("type") != "welcome":
-                sock.close()
-                raise ConnectionError(
-                    f"unexpected handshake reply {header.get('type')!r}")
-            negotiated = negotiate_features(header.get("features"))
-            self._tx_compress = (self.compress
-                                 and FEATURE_ZLIB in negotiated)
-            self._sock = sock
+                timeout=self.connect_timeout)
         return self._sock
 
     def close(self) -> None:
         sock, self._sock = self._sock, None
-        self._tx_compress = False
         if sock is not None:
             try:
                 send_message(sock, {"type": "goodbye"})
@@ -234,11 +210,7 @@ class DistributedCampaignRunner:
                                   "weight": self.weight}
         if self.max_attempts is not None:
             header["max_attempts"] = self.max_attempts
-        # The submit envelope is the fattest client frame (every job
-        # pickle in one blob list): the negotiated zlib pass pays for
-        # itself most here.
-        send_message(sock, header, pack_blob_list(blobs),
-                     compress=self._tx_compress)
+        send_message(sock, header, pack_blob_list(blobs))
         outcomes: dict[int, tuple[bool, Any, int]] = {}
 
         def settle(meta: dict[str, Any], blob: Any) -> None:

@@ -20,13 +20,10 @@ deadline, not the heartbeat, bounds them).  Exceptions raised by a job
 are caught and reported as failed results with the traceback text --
 the agent itself only dies on coordinator loss or :meth:`stop`.
 
-The hello frame advertises the optional protocol features from
-:mod:`repro.dist.protocol`; against a coordinator that negotiates them
-the agent compresses its frames (``zlib``) and coalesces results into
-``result_batch`` frames (``batch``): finished jobs pile into an outbox
-while a flush is on the wire, and the next flush ships all of them as
-one frame -- one syscall for N wide-grid records, self-clocking to
-however fast the socket drains.
+Results coalesce into ``result_batch`` frames: finished jobs pile into
+an outbox while a flush is on the wire, and the next flush ships all
+of them as one frame -- one syscall for N wide-grid records,
+self-clocking to however fast the socket drains.
 
 A ``retire`` frame (the autoscaler's scale-down path) makes the agent
 **drain-then-exit**: it announces ``slots: 0`` so the coordinator
@@ -47,8 +44,6 @@ from typing import Any
 
 from repro.dist import coordinator as coordinator_mod
 from repro.dist.protocol import (
-    FEATURE_BATCH,
-    FEATURE_ZLIB,
     MSG_GOODBYE,
     MSG_HEARTBEAT,
     MSG_JOB,
@@ -58,12 +53,10 @@ from repro.dist.protocol import (
     MSG_RETIRE,
     MSG_SHUTDOWN,
     MSG_SLOTS,
-    MSG_WELCOME,
     ConnectionClosed,
     ProtocolError,
     dumps_payload,
     loads_payload,
-    negotiate_features,
     pack_blob_list,
     recv_message,
     send_message,
@@ -109,23 +102,19 @@ class WorkerAgent:
 
     ``processes`` selects the executor (see module docs); ``slots``
     defaults to the executor width, i.e. the agent leases exactly as
-    many jobs as it can run concurrently.  ``compress=False`` stops the
-    agent from advertising the ``zlib`` feature (frames stay raw both
-    ways -- the interop escape hatch for debugging with packet dumps).
+    many jobs as it can run concurrently.
     """
 
     def __init__(self, address: str, processes: int = 1,
                  slots: int | None = None, name: str = "",
                  heartbeat_period: float = DEFAULT_HEARTBEAT_PERIOD,
-                 connect_timeout: float = 10.0,
-                 compress: bool = True) -> None:
+                 connect_timeout: float = 10.0) -> None:
         self.address = address
         self.processes = max(0, processes)
         self.slots = slots if slots is not None else max(1, self.processes)
         self.name = name or f"worker-{id(self):x}"
         self.heartbeat_period = heartbeat_period
         self.connect_timeout = connect_timeout
-        self.compress = compress
         self._sock: socket.socket | None = None
         self._executor: Executor | None = None
         # Two locks with distinct jobs: _wire_lock serializes the
@@ -138,10 +127,7 @@ class WorkerAgent:
         self._send_lock = threading.Lock()
         self._stopped = threading.Event()
         self._thread: threading.Thread | None = None
-        # Negotiated at welcome; until then every send is plain.
-        self._tx_compress = False
-        self._batch = False
-        # Result outbox for the batch path: finished jobs queue here
+        # Result outbox: finished jobs queue here
         # while another flush holds the socket; the flusher drains the
         # whole backlog as one result_batch frame per trip.
         self._outbox: list[tuple[dict[str, Any], bytes | None]] = []
@@ -202,8 +188,7 @@ class WorkerAgent:
             return False
         try:
             with self._wire_lock:
-                send_message(sock, header, payload,
-                             compress=self._tx_compress)
+                send_message(sock, header, payload)
             return True
         except OSError:
             return False
@@ -251,11 +236,7 @@ class WorkerAgent:
             meta = {"job_id": job_id, "attempt": attempt, "ok": False,
                     "retryable": retryable, "error": str(value)}
             payload = None
-        if self._batch:
-            self._send_result_batched(meta, payload)
-        else:
-            meta["type"] = MSG_RESULT
-            self._send(meta, payload)
+        self._send_result_batched(meta, payload)
         with self._retire_lock:
             self._inflight -= 1
         self._maybe_finish_retire()
@@ -325,8 +306,7 @@ class WorkerAgent:
                     try:
                         with self._wire_lock:
                             send_message(sock, dict(meta, type=MSG_RESULT),
-                                         payload,
-                                         compress=self._tx_compress)
+                                         payload)
                     except OSError:
                         return
                     except ProtocolError:
@@ -339,27 +319,22 @@ class WorkerAgent:
                                              bytes | None]]) -> None:
         if len(chunk) == 1:
             meta, payload = chunk[0]
-            send_message(sock, dict(meta, type=MSG_RESULT), payload,
-                         compress=self._tx_compress)
+            send_message(sock, dict(meta, type=MSG_RESULT), payload)
         else:
             header = {"type": MSG_RESULT_BATCH,
                       "results": [meta for meta, _ in chunk]}
             blobs = [payload if payload is not None else b""
                      for _, payload in chunk]
-            send_message(sock, header, pack_blob_list(blobs),
-                         compress=self._tx_compress)
+            send_message(sock, header, pack_blob_list(blobs))
 
     # ------------------------------------------------------------------
     # Main loop
     # ------------------------------------------------------------------
     def run(self) -> None:
         """Connect and serve until coordinator loss or :meth:`stop`."""
-        features = [FEATURE_ZLIB, FEATURE_BATCH] if self.compress \
-            else [FEATURE_BATCH]
         self._sock = coordinator_mod.connect(
             self.address, role="worker", name=self.name,
-            timeout=self.connect_timeout, slots=self.slots,
-            features=features)
+            timeout=self.connect_timeout, slots=self.slots)
         self._executor = self._make_executor()
         heartbeat = threading.Thread(target=self._heartbeat_loop,
                                      name="dist-heartbeat", daemon=True)
@@ -381,11 +356,6 @@ class WorkerAgent:
                         self._submit_job(str(meta["job_id"]),
                                          int(meta.get("attempt", 1)),
                                          blob)
-                elif kind == MSG_WELCOME:
-                    negotiated = negotiate_features(header.get("features"))
-                    self._tx_compress = (self.compress
-                                         and FEATURE_ZLIB in negotiated)
-                    self._batch = FEATURE_BATCH in negotiated
                 elif kind == MSG_RETIRE:
                     # Drain-then-exit: no new leases (slots 0), finish
                     # what's in the executor, then goodbye.  The

@@ -90,8 +90,6 @@ class CoordinatorBridge:
             try:
                 sock = connect(self.address, role="client",
                                name="obs-bridge", timeout=2.0)
-                # Welcome, then subscribe at our period.
-                recv_message(sock)
                 send_message(sock, {"type": "subscribe",
                                     "period": self.period})
                 # Bounded read timeout so stop() is honoured even while

@@ -14,46 +14,30 @@ from typing import Callable
 from repro.plant.units.base import ProcessUnit
 
 
-_BACKENDS = ("auto", "py", "np")
-
-
-def _resolve_backend(backend: str) -> str:
-    if backend not in _BACKENDS:
-        raise ValueError(
-            f"unknown backend {backend!r}; choose one of {_BACKENDS}")
-    if backend == "np":
-        try:
-            import numpy  # noqa: F401
-        except ImportError as exc:
-            raise RuntimeError(
-                "backend='np' requires numpy (the 'fast' extra); use "
-                "backend='auto' for the pure-python kernels") from exc
-    return backend
+_BACKENDS = ("auto", "py")
 
 
 class Flowsheet:
     """Ordered units + named signal taps.
 
-    ``backend`` selects how the per-step unit sweep runs; every choice
-    is bit-identical (held to by the golden digests and the
+    ``backend`` selects how the per-step unit sweep runs; both choices
+    are bit-identical (held to by the golden digests and the
     backend-conformance tests):
 
-    - ``"py"``: the reference path -- each unit's scalar ``step()``,
-      building ``Stream``/``Composition`` objects for every hop.
-    - ``"auto"`` (default): fused pure-python kernels where a unit
-      provides one (``compile_kernel``); raw fields flow between
+    - ``"auto"`` (default): fused kernels where a unit provides one
+      (``compile_kernel``); raw fields flow between
       :class:`~repro.plant.ports.StreamPort` cells and streams
       materialize only when a sensor or test asks for one.
-    - ``"np"``: the fused kernels with numpy species vectors
-      (struct-of-arrays state).  Requires numpy; at single-flowsheet
-      width (7 species) per-ufunc dispatch usually loses to the fused
-      python loops, so "auto" does not select it -- it exists as the
-      conformance anchor and for wide batched sweeps.
+    - ``"py"``: the reference path -- each unit's scalar ``step()``,
+      building ``Stream``/``Composition`` objects for every hop.
     """
 
     def __init__(self, name: str, backend: str = "auto") -> None:
         self.name = name
-        self.backend = _resolve_backend(backend)
+        if backend not in _BACKENDS:
+            raise ValueError(
+                f"unknown backend {backend!r}; choose one of {_BACKENDS}")
+        self.backend = backend
         self.units: list[ProcessUnit] = []
         self._sensors: dict[str, Callable[[], float]] = {}
         self._actuators: dict[str, Callable[[float], None]] = {}
@@ -117,12 +101,9 @@ class Flowsheet:
     def _compiled_steps(self) -> tuple[Callable[[float], None], ...]:
         if self.backend == "py":
             return tuple(u.step for u in self.units)
-        np_mod = None
-        if self.backend == "np":
-            import numpy as np_mod
         compiled = []
         for unit in self.units:
-            kernel = unit.compile_kernel(np_mod)
+            kernel = unit.compile_kernel()
             compiled.append(kernel if kernel is not None else unit.step)
         return tuple(compiled)
 

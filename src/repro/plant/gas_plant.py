@@ -51,9 +51,9 @@ class VaporHeader(ProcessUnit):
     def outlet(self, stream: Stream) -> None:
         self.outlet_port.set_stream(stream)
 
-    def compile_kernel(self, np):
+    def compile_kernel(self):
         from repro.plant.kernels import vapor_header_kernel
-        return vapor_header_kernel(self, np)
+        return vapor_header_kernel(self)
 
     def step(self, dt_sec: float) -> None:
         self.valve.step(dt_sec)

@@ -1,23 +1,21 @@
-"""Fused per-unit step kernels for the flowsheet's batched backends.
+"""Fused per-unit step kernels for the flowsheet's default backend.
 
 ``Flowsheet(backend="auto")`` swaps each unit's object-building
 ``step()`` for a closure compiled here: stream hops become raw
 ``(molar_flow, fractions, temperature, pressure)`` tuples flowing
 between :class:`~repro.plant.ports.StreamPort` cells, so steady-state
-stepping allocates no ``Stream``/``Composition`` objects at all.  With
-``backend="np"`` the species vectors are numpy float64 arrays instead
-of python lists (struct-of-arrays unit state).
+stepping allocates no ``Stream``/``Composition`` objects at all.  The
+separator and column kernels are unrolled over the stock seven-species
+vector; at any other species width those units step through their
+scalar ``step()``.
 
 Bit-identity contract: every kernel replays its unit's ``step()``
 float operations in the exact same order -- the sequential
 accumulations, the ``total == 1.0`` divide-skip of
 ``Composition._normalized``, the re-normalization hidden inside
-``Stream.copy()``, down to ``a * b / c`` association.  numpy enters
-only through elementwise float64 ufuncs, which are IEEE-identical to
-the corresponding scalar ops; *reductions* stay sequential python adds
-(numpy's pairwise ``sum`` would round differently).  The golden
-"plant" digest and the backend-conformance tests hold every backend to
-the scalar reference.
+``Stream.copy()``, down to ``a * b / c`` association.  The golden
+"plant" digest and the backend-conformance tests hold the kernels to
+the scalar reference (``backend="py"``).
 """
 
 from __future__ import annotations
@@ -155,85 +153,10 @@ def _mix_raw(live):
 
 
 # ----------------------------------------------------------------------
-# numpy flavor helpers.  ``np`` is always the imported numpy module.
-# ----------------------------------------------------------------------
-def _asum(vector) -> float:
-    """Sequential sum of an ndarray, matching ``sum(list)`` exactly."""
-    total = 0.0
-    for v in vector.tolist():
-        total += v
-    return total
-
-
-_NP_SPLITS: dict[tuple[float, float], object] = {}
-_NP_SPLITS_MAX = 16384
-
-
-def _np_splits(np, temperature_c: float, pressure_kpa: float):
-    """ndarray view of the `_split_fractions` cache entry."""
-    key = (temperature_c, pressure_kpa)
-    arr = _NP_SPLITS.get(key)
-    if arr is None:
-        if len(_NP_SPLITS) >= _NP_SPLITS_MAX:
-            _NP_SPLITS.clear()
-        arr = np.asarray(_split_fractions(temperature_c, pressure_kpa))
-        _NP_SPLITS[key] = arr
-    return arr
-
-
-def _np_renorm(np, fractions):
-    """`_renorm` for the np flavor: elementwise divide, sequential total."""
-    arr = np.asarray(fractions)
-    total = 0.0
-    for v in arr.tolist():
-        total += v
-    if total == 1.0:
-        return arr.copy()
-    return arr / total
-
-
-def _np_mix_raw(np, live):
-    """`_mix_raw` with an ndarray flow accumulator."""
-    total = 0.0
-    for raw in live:
-        total += raw[0]
-    flows = np.zeros(N_SPECIES)
-    temp = 0.0
-    for mf, fractions, t, _ in live:
-        temp += t * mf / total
-        flows = flows + mf * np.asarray(fractions)
-    pressure = live[0][3]
-    for raw in live[1:]:
-        if raw[3] < pressure:
-            pressure = raw[3]
-    ftotal = _asum(flows)
-    if ftotal != 1.0:
-        flows = flows / ftotal
-    return total, flows, temp, pressure
-
-
-# ----------------------------------------------------------------------
 # Mixer
 # ----------------------------------------------------------------------
-def mixer_kernel(unit, np):
+def mixer_kernel(unit):
     port = unit.outlet_port
-
-    if np is None:
-        def kernel(dt_sec: float) -> None:
-            live = []
-            for source in unit.inlets:
-                raw = _read(source)
-                if raw[0] > 0:
-                    live.append(raw)
-            if live:
-                port.mf, port.fr, port.t, port.p = _mix_raw(live)
-            else:
-                port.mf = 0.0
-                port.fr = _PURE_C1
-                port.t = 25.0
-                port.p = 101.3
-            port.stream = None
-        return kernel
 
     def kernel(dt_sec: float) -> None:
         live = []
@@ -241,10 +164,14 @@ def mixer_kernel(unit, np):
             raw = _read(source)
             if raw[0] > 0:
                 live.append(raw)
-        if not live:
-            port.set_raw(0.0, _PURE_C1, 25.0, 101.3)
-            return
-        port.set_raw(*_np_mix_raw(np, live))
+        if live:
+            port.mf, port.fr, port.t, port.p = _mix_raw(live)
+        else:
+            port.mf = 0.0
+            port.fr = _PURE_C1
+            port.t = 25.0
+            port.p = 101.3
+        port.stream = None
     return kernel
 
 
@@ -464,170 +391,26 @@ def _separator_kernel7(unit):
     return kernel
 
 
-def separator_kernel(unit, np):
-    if np is None:
-        if N_SPECIES == 7:
-            return _separator_kernel7(unit)
-        return None  # exotic species width: fall back to scalar step()
-    valve = unit.liquid_valve
-    vport = unit.vapor_out_port
-    lport = unit.liquid_out_port
-    backpressure = unit.drain_backpressure
-    track_feed_t = unit._fixed_temperature_c is None
-    # Init-only unit parameters, snapshotted at compile time (kernels
-    # compile lazily on the first flowsheet step, after construction).
-    valve_cv = valve.cv_mol_s
-    valve_tau = valve.actuator_tau_sec
-    pressure = unit.pressure_kpa
-    blow_by_fraction = unit.blow_by_fraction
-    capacity = unit.holdup_capacity_mol
-    # Last (T, P) -> splits memo: a converged separator flashes at the
-    # same key every step, so skip even the cache-dict lookup then.
-    memo_t = memo_splits = None
-
-    pure = np.asarray(_PURE_C1)
-    unit.holdup = np.asarray(unit.holdup, dtype=float)
-
-    def kernel(dt_sec: float) -> None:
-        nonlocal memo_t, memo_splits
-        # ControlValve.step inlined (tau is fixed at construction).
-        if valve_tau <= 0:
-            valve.opening_pct = valve.command_pct
-        else:
-            alpha = dt_sec / (valve_tau + dt_sec)
-            valve.opening_pct += alpha * (valve.command_pct
-                                          - valve.opening_pct)
-        mf, fractions, feed_t, _feed_p = _read(unit.feed)
-        if track_feed_t:
-            unit.temperature_c = feed_t
-        temperature = unit.temperature_c
-        # flash() inlined.
-        if temperature == memo_t:
-            splits = memo_splits
-        else:
-            splits = _split_fractions(temperature, pressure)
-            memo_t, memo_splits = temperature, splits
-        if np is None:
-            flows = [mf * f for f in fractions]
-            liquid_flows = [f * s for f, s in zip(flows, splits)]
-            vapor_flows = [f - l for f, l in zip(flows, liquid_flows)]
-            vapor_total = sum(vapor_flows)
-            liquid_total = sum(liquid_flows)
-        else:
-            flow = mf * np.asarray(fractions)
-            liquid_flows = flow * _np_splits(np, temperature, pressure)
-            vapor_flows = flow - liquid_flows
-            vapor_total = _asum(vapor_flows)
-            liquid_total = _asum(liquid_flows)
-        if vapor_total > 1e-12:
-            v_mf = vapor_total
-            v_fr = (vapor_flows if vapor_total == 1.0
-                    else vapor_flows / vapor_total if np is not None
-                    else [v / vapor_total for v in vapor_flows])
-        else:
-            v_mf, v_fr = 0.0, pure
-        if liquid_total > 1e-12:
-            l_mf = liquid_total
-            l_fr = (liquid_flows if liquid_total == 1.0
-                    else liquid_flows / liquid_total if np is not None
-                    else [v / liquid_total for v in liquid_flows])
-        else:
-            l_mf, l_fr = 0.0, pure
-        # Condensed liquid accumulates in the holdup.
-        holdup = unit.holdup
-        if np is None:
-            holdup = unit.holdup = [
-                h + (l_mf * f) * dt_sec for h, f in zip(holdup, l_fr)]
-        else:
-            holdup = unit.holdup = holdup + l_mf * l_fr * dt_sec
-        requested = valve_cv * valve.opening_pct / 100.0
-        if backpressure is not None:
-            # max(0.0, min(1.0, bp)), conditionals (see set_command).
-            bp = backpressure()
-            bp = bp if bp < 1.0 else 1.0
-            requested *= bp if bp > 0.0 else 0.0
-        holdup_total = (sum(holdup) if np is None else _asum(holdup))
-        drainable = holdup_total / dt_sec
-        drained = drainable if drainable < requested else requested
-        lo_t = temperature
-        lo_p = pressure
-        if drained > 0 and holdup_total > 0:
-            fraction = drained * dt_sec / holdup_total
-            if fraction > 1.0:
-                fraction = 1.0
-            if np is None:
-                out_flows = [h * fraction / dt_sec for h in holdup]
-                holdup = unit.holdup = [h * (1.0 - fraction) for h in holdup]
-                out_total = sum(out_flows)
-            else:
-                out_flows = holdup * fraction / dt_sec
-                holdup = unit.holdup = holdup * (1.0 - fraction)
-                out_total = _asum(out_flows)
-            if out_total > 1e-12:
-                lo_mf = out_total
-                lo_fr = (out_flows if out_total == 1.0
-                         else out_flows / out_total if np is not None
-                         else [v / out_total for v in out_flows])
-            else:
-                lo_mf, lo_fr = out_total, l_fr
-        else:
-            lo_mf, lo_fr = 0.0, pure
-        # Gas blow-by: unmet valve demand pulls vapor into the liquid line.
-        shortfall = requested - drained
-        if shortfall < 0.0:
-            shortfall = 0.0
-        blow_by = shortfall * blow_by_fraction
-        if blow_by > 1e-9 and v_mf > 1e-9:
-            taken = v_mf if v_mf < blow_by else blow_by
-            unit.blow_by_flow = taken
-            live = ([(lo_mf, lo_fr, lo_t, lo_p)] if lo_mf > 0 else [])
-            live.append((taken, v_fr, temperature, pressure))
-            if np is None:
-                lo_mf, lo_fr, lo_t, lo_p = _mix_raw(live)
-            else:
-                lo_mf, lo_fr, lo_t, lo_p = _np_mix_raw(np, live)
-            v_mf = v_mf - taken
-        else:
-            unit.blow_by_flow = 0.0
-        # Overflow protection: liquid carried over with the vapor.
-        holdup_total = (sum(holdup) if np is None else _asum(holdup))
-        if holdup_total > capacity:
-            excess = holdup_total - capacity
-            scale = capacity / holdup_total
-            if np is None:
-                unit.holdup = [h * scale for h in holdup]
-            else:
-                unit.holdup = holdup * scale
-            unit.overflow_mol += excess
-        # set_raw inlined on both output ports.
-        vport.mf = v_mf
-        vport.fr = v_fr
-        vport.t = temperature
-        vport.p = pressure
-        vport.stream = None
-        lport.mf = lo_mf
-        lport.fr = lo_fr
-        lport.t = lo_t
-        lport.p = lo_p
-        lport.stream = None
-    return kernel
+def separator_kernel(unit):
+    if _SEVEN:
+        return _separator_kernel7(unit)
+    return None  # exotic species width: fall back to scalar step()
 
 
 # ----------------------------------------------------------------------
 # Gas/gas exchanger and chiller
 # ----------------------------------------------------------------------
-def gasgas_kernel(unit, np):
+def gasgas_kernel(unit):
     hport = unit.hot_out_port
     cport = unit.cold_out_port
-    renorm = _renorm if np is None else (lambda fr: _np_renorm(np, fr))
     effectiveness = unit.effectiveness
 
     def kernel(dt_sec: float) -> None:
         h_mf, h_fr, h_t, h_p = _read(unit.hot_inlet)
         c_mf, c_fr, c_t, c_p = _read(unit.cold_inlet)
         if h_mf <= 1e-9 or c_mf <= 1e-9:
-            hport.set_raw(h_mf, renorm(h_fr), h_t, h_p)
-            cport.set_raw(c_mf, renorm(c_fr), c_t, c_p)
+            hport.set_raw(h_mf, _renorm(h_fr), h_t, h_p)
+            cport.set_raw(c_mf, _renorm(c_fr), c_t, c_p)
             unit.duty_watts = 0.0
             return
         c_min = c_mf if c_mf < h_mf else h_mf
@@ -636,12 +419,12 @@ def gasgas_kernel(unit, np):
         h_t_out = h_t - q / h_mf
         c_t_out = c_t + q / c_mf
         hport.mf = h_mf
-        hport.fr = renorm(h_fr)
+        hport.fr = _renorm(h_fr)
         hport.t = h_t_out
         hport.p = h_p
         hport.stream = None
         cport.mf = c_mf
-        cport.fr = renorm(c_fr)
+        cport.fr = _renorm(c_fr)
         cport.t = c_t_out
         cport.p = c_p
         cport.stream = None
@@ -649,9 +432,8 @@ def gasgas_kernel(unit, np):
     return kernel
 
 
-def chiller_kernel(unit, np):
+def chiller_kernel(unit):
     port = unit.outlet_port
-    renorm = _renorm if np is None else (lambda fr: _np_renorm(np, fr))
     tau_sec = unit.tau_sec
     t_max_c = unit.t_max_c
     span = unit.t_max_c - unit.t_min_c
@@ -663,7 +445,7 @@ def chiller_kernel(unit, np):
             target - unit.outlet_temperature_c)
         mf, fractions, t, p = _read(unit.inlet)
         port.mf = mf
-        port.fr = renorm(fractions)
+        port.fr = _renorm(fractions)
         port.t = unit.outlet_temperature_c
         port.p = p
         port.stream = None
@@ -675,11 +457,9 @@ def chiller_kernel(unit, np):
 # ----------------------------------------------------------------------
 # Sales-gas vapor header (class lives in gas_plant.py)
 # ----------------------------------------------------------------------
-def vapor_header_kernel(unit, np):
+def vapor_header_kernel(unit):
     valve = unit.valve
     port = unit.outlet_port
-    renorm = _renorm if np is None else (lambda fr: _np_renorm(np, fr))
-    pure = _PURE_C1 if np is None else np.asarray(_PURE_C1)
     valve_cv = valve.cv_mol_s
     valve_tau = valve.actuator_tau_sec
     volume = unit.volume_mol_per_kpa
@@ -700,10 +480,10 @@ def vapor_header_kernel(unit, np):
         unit.pressure_kpa = pressure if pressure > 200.0 else 200.0
         port.mf = out_flow
         if mf > 0:
-            port.fr = renorm(fractions)
+            port.fr = _renorm(fractions)
             port.t = t
         else:
-            port.fr = pure
+            port.fr = _PURE_C1
             port.t = 25.0
         port.p = unit.pressure_kpa
         port.stream = None
@@ -943,180 +723,7 @@ def _column_kernel7(unit):
     return kernel
 
 
-def column_kernel(unit, np):
-    if np is None:
-        if N_SPECIES == 7:
-            return _column_kernel7(unit)
-        return None  # exotic species width: fall back to scalar step()
-    dv = unit.distillate_valve
-    bv = unit.bottoms_valve
-    gv = unit.overhead_gas_valve
-    dv_cv, bv_cv, gv_cv = dv.cv_mol_s, bv.cv_mol_s, gv.cv_mol_s
-    valves = ((dv, dv.actuator_tau_sec), (bv, bv.actuator_tau_sec),
-              (gv, gv.actuator_tau_sec))
-    gport = unit.overhead_gas_out_port
-    dport = unit.distillate_out_port
-    bport = unit.bottoms_out_port
-    reboiler_tau = unit.reboiler_tau_sec
-    pressure_volume = unit.pressure_volume_mol_per_kpa
-    drum_capacity = unit.drum_capacity_mol
-    sump_capacity = unit.sump_capacity_mol
-
-    if np is None:
-        pure = _PURE_C1
-
-        def drain_raw(holdup, requested, dt_sec):
-            """`Depropanizer._drain` on the raw holdup list."""
-            total = sum(holdup)
-            drainable = total / dt_sec
-            drained = drainable if drainable < requested else requested
-            if drained <= 1e-12 or total <= 1e-12:
-                return 0.0, pure, holdup
-            fraction = drained * dt_sec / total
-            if fraction > 1.0:
-                fraction = 1.0
-            out_flows = [h * fraction / dt_sec for h in holdup]
-            holdup = [h * (1.0 - fraction) for h in holdup]
-            out_total = sum(out_flows)
-            fr = (out_flows if out_total == 1.0
-                  else [v / out_total for v in out_flows])
-            return out_total, fr, holdup
-    else:
-        pure = np.asarray(_PURE_C1)
-        unit.drum_holdup = np.asarray(unit.drum_holdup, dtype=float)
-        unit.sump_holdup = np.asarray(unit.sump_holdup, dtype=float)
-
-        def drain_raw(holdup, requested, dt_sec):
-            total = _asum(holdup)
-            drained = min(requested, total / dt_sec)
-            if drained <= 1e-12 or total <= 1e-12:
-                return 0.0, pure, holdup
-            fraction = min(1.0, drained * dt_sec / total)
-            out_flows = holdup * fraction / dt_sec
-            holdup = holdup * (1.0 - fraction)
-            out_total = _asum(out_flows)
-            fr = (out_flows if out_total == 1.0 else out_flows / out_total)
-            return out_total, fr, holdup
-
-    def kernel(dt_sec: float) -> None:
-        # ControlValve.step inlined for the three product valves.
-        for v, tau in valves:
-            if tau <= 0:
-                v.opening_pct = v.command_pct
-            else:
-                alpha = dt_sec / (tau + dt_sec)
-                v.opening_pct += alpha * (v.command_pct - v.opening_pct)
-        # Reboiler temperature dynamics: duty 0..100 % -> 80..110 degC.
-        target = 80.0 + 30.0 * unit.reboil_duty_pct / 100.0
-        alpha = dt_sec / (reboiler_tau + dt_sec)
-        unit.temperature_c += alpha * (target - unit.temperature_c)
-        feed_mf, feed_fr, _t, _p = _read(unit.feed)
-        shift = (unit.temperature_c - 95.0) / 10.0 * 0.02
-        if np is None:
-            rec = list(_BASE_RECOVERY)
-            r = rec[_C3_I] + shift
-            r = r if r > 0.5 else 0.5
-            rec[_C3_I] = r if r < 0.999 else 0.999
-            r = rec[_IC4_I] + shift
-            r = r if r > 0.0 else 0.0
-            rec[_IC4_I] = r if r < 0.5 else 0.5
-            r = rec[_NC4_I] + shift
-            r = r if r > 0.0 else 0.0
-            rec[_NC4_I] = r if r < 0.5 else 0.5
-            flows = [feed_mf * f for f in feed_fr]
-            overhead_flows = [f * r for f, r in zip(flows, rec)]
-            bottoms_flows = [f * (1.0 - r) for f, r in zip(flows, rec)]
-            overhead_total = sum(overhead_flows)
-        else:
-            # The shift only touches three entries; the per-species
-            # clamps stay scalar, the flow split is elementwise.
-            rec = list(_BASE_RECOVERY)
-            rec[_C3_I] = min(0.999, max(0.5, _BASE_RECOVERY[_C3_I] + shift))
-            rec[_IC4_I] = min(0.5, max(0.0, _BASE_RECOVERY[_IC4_I] + shift))
-            rec[_NC4_I] = min(0.5, max(0.0, _BASE_RECOVERY[_NC4_I] + shift))
-            rec_arr = np.asarray(rec)
-            flow = feed_mf * np.asarray(feed_fr)
-            overhead_flows = flow * rec_arr
-            bottoms_flows = flow * (1.0 - rec_arr)
-            overhead_total = _asum(overhead_flows)
-        excess = unit.pressure_kpa - 1200.0
-        supply = (overhead_total * 0.35
-                  + (excess if excess > 0.0 else 0.0) * 0.02)
-        requested = gv_cv * gv.opening_pct / 100.0
-        gas_out_flow = supply if supply < requested else requested
-        pressure = unit.pressure_kpa + (overhead_total * 0.3 - gas_out_flow) \
-            * dt_sec / pressure_volume
-        unit.pressure_kpa = pressure if pressure > 200.0 else 200.0
-        if overhead_total > 1e-9:
-            og_fr = (overhead_flows if overhead_total == 1.0
-                     else overhead_flows / overhead_total if np is not None
-                     else [v / overhead_total for v in overhead_flows])
-        else:
-            og_fr = _C3_PURE if np is None else pure_c3(np)
-        gport.mf = gas_out_flow
-        gport.fr = og_fr
-        gport.t = 40.0
-        gport.p = unit.pressure_kpa
-        gport.stream = None
-        # Condensed overhead (the rest) accumulates in the reflux drum.
-        condensed = overhead_total - gas_out_flow
-        if condensed < 0.0:
-            condensed = 0.0
-        drum = unit.drum_holdup
-        sump = unit.sump_holdup
-        if np is None:
-            if overhead_total > 1e-9:
-                drum = unit.drum_holdup = [
-                    d + (o / overhead_total) * condensed * dt_sec
-                    for d, o in zip(drum, overhead_flows)]
-            sump = unit.sump_holdup = [
-                s + b * dt_sec for s, b in zip(sump, bottoms_flows)]
-        else:
-            if overhead_total > 1e-9:
-                drum = unit.drum_holdup = (
-                    drum + overhead_flows / overhead_total
-                    * condensed * dt_sec)
-            sump = unit.sump_holdup = sump + bottoms_flows * dt_sec
-        d_mf, d_fr, drum = drain_raw(drum, dv_cv * dv.opening_pct / 100.0,
-                                     dt_sec)
-        unit.drum_holdup = drum
-        dport.mf = d_mf
-        dport.fr = d_fr
-        dport.t = 40.0
-        dport.p = unit.pressure_kpa
-        dport.stream = None
-        b_mf, b_fr, sump = drain_raw(sump, bv_cv * bv.opening_pct / 100.0,
-                                     dt_sec)
-        unit.sump_holdup = sump
-        bport.mf = b_mf
-        bport.fr = b_fr
-        bport.t = unit.temperature_c
-        bport.p = unit.pressure_kpa
-        bport.stream = None
-        # _clamp on both holdups.
-        total = sum(drum) if np is None else _asum(drum)
-        if total > drum_capacity:
-            scale = drum_capacity / total
-            if np is None:
-                unit.drum_holdup = [h * scale for h in drum]
-            else:
-                unit.drum_holdup = drum * scale
-        total = sum(sump) if np is None else _asum(sump)
-        if total > sump_capacity:
-            scale = sump_capacity / total
-            if np is None:
-                unit.sump_holdup = [h * scale for h in sump]
-            else:
-                unit.sump_holdup = sump * scale
-    return kernel
-
-
-_NP_C3_PURE = None
-
-
-def pure_c3(np):
-    """Shared ndarray of `_C3_PURE` (built on first np-flavor use)."""
-    global _NP_C3_PURE
-    if _NP_C3_PURE is None:
-        _NP_C3_PURE = np.asarray(_C3_PURE)
-    return _NP_C3_PURE
+def column_kernel(unit):
+    if _SEVEN:
+        return _column_kernel7(unit)
+    return None  # exotic species width: fall back to scalar step()

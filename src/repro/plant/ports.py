@@ -39,8 +39,7 @@ class StreamPort:
         self.stream = stream
 
     def set_raw(self, mf: float, fr, t: float, p: float) -> None:
-        """Store raw fields from a fused kernel; ``fr`` may be a list
-        (pure-python kernels) or a numpy vector (the "np" backend)."""
+        """Store raw fields from a fused kernel."""
         self.mf = mf
         self.fr = fr
         self.t = t
@@ -64,16 +63,9 @@ class StreamPort:
         """The cell's stream, materialized (and cached) on demand."""
         s = self.stream
         if s is None:
-            fr = self.fr
-            if type(fr) is list:
-                values = list(fr)
-            elif hasattr(fr, "tolist"):   # numpy vector -> python floats
-                values = fr.tolist()
-            else:
-                values = list(fr)
             s = Stream.__new__(Stream)
             s.molar_flow = float(self.mf)
-            s.composition = Composition._from_fractions(values)
+            s.composition = Composition._from_fractions(list(self.fr))
             # A tracking separator's initial empty stream carries
             # temperature None until the first feed arrives; preserve
             # it the way the scalar path does.

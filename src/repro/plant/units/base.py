@@ -26,13 +26,12 @@ class ProcessUnit:
         """Advance the unit's state by ``dt_sec`` seconds of plant time."""
         raise NotImplementedError
 
-    def compile_kernel(self, np):
-        """Optional fused step for the flowsheet's kernel backends.
+    def compile_kernel(self):
+        """Optional fused step for the flowsheet's ``"auto"`` backend.
 
         Returns a ``kernel(dt_sec)`` closure bit-identical to
-        :meth:`step` -- ``np`` is the numpy module for the "np" backend
-        and ``None`` for the pure-python one -- or ``None`` to keep
-        stepping this unit through :meth:`step`.
+        :meth:`step`, or ``None`` to keep stepping this unit through
+        :meth:`step`.
         """
         return None
 

@@ -114,9 +114,9 @@ class Depropanizer(ProcessUnit):
     def overhead_gas_out(self, stream: Stream) -> None:
         self.overhead_gas_out_port.set_stream(stream)
 
-    def compile_kernel(self, np):
+    def compile_kernel(self):
         from repro.plant.kernels import column_kernel
-        return column_kernel(self, np)
+        return column_kernel(self)
 
     # ------------------------------------------------------------------
     # Control handles (PVs and MVs)

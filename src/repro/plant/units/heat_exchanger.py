@@ -54,9 +54,9 @@ class GasGasExchanger(ProcessUnit):
     def cold_out(self, stream: Stream) -> None:
         self.cold_out_port.set_stream(stream)
 
-    def compile_kernel(self, np):
+    def compile_kernel(self):
         from repro.plant.kernels import gasgas_kernel
-        return gasgas_kernel(self, np)
+        return gasgas_kernel(self)
 
     def step(self, dt_sec: float) -> None:
         hot = self.hot_inlet()
@@ -112,9 +112,9 @@ class Chiller(ProcessUnit):
     def outlet(self, stream: Stream) -> None:
         self.outlet_port.set_stream(stream)
 
-    def compile_kernel(self, np):
+    def compile_kernel(self):
         from repro.plant.kernels import chiller_kernel
-        return chiller_kernel(self, np)
+        return chiller_kernel(self)
 
     def set_duty(self, duty_pct: float) -> None:
         self.duty_pct = min(100.0, max(0.0, float(duty_pct)))

@@ -27,9 +27,9 @@ class Mixer(ProcessUnit):
     def outlet(self, stream: Stream) -> None:
         self.outlet_port.set_stream(stream)
 
-    def compile_kernel(self, np):
+    def compile_kernel(self):
         from repro.plant.kernels import mixer_kernel
-        return mixer_kernel(self, np)
+        return mixer_kernel(self)
 
     def step(self, dt_sec: float) -> None:
         self.outlet = Stream.mix([source() for source in self.inlets])

@@ -96,9 +96,9 @@ class TwoPhaseSeparator(ProcessUnit):
     def liquid_out(self, stream: Stream) -> None:
         self.liquid_out_port.set_stream(stream)
 
-    def compile_kernel(self, np):
+    def compile_kernel(self):
         from repro.plant.kernels import separator_kernel
-        return separator_kernel(self, np)
+        return separator_kernel(self)
 
     # ------------------------------------------------------------------
     @property

@@ -54,7 +54,7 @@ def _parse_where(args: argparse.Namespace) -> dict:
 
 
 def _cmd_ingest(args: argparse.Namespace) -> int:
-    with open_warehouse(args.db, backend=args.backend) as wh:
+    with open_warehouse(args.db) as wh:
         reports = []
         for store_root in args.stores:
             reports.append(ingest_mod.ingest_store(
@@ -181,11 +181,6 @@ def main(argv: list[str] | None = None) -> int:
     ingest = sub.add_parser("ingest", help="ingest stores / snapshots")
     ingest.add_argument("--db", required=True,
                         help="warehouse directory (created if missing)")
-    ingest.add_argument("--backend", choices=("sqlite", "jsonl"),
-                        default=None,
-                        help="storage flavor for a new warehouse "
-                             "(default sqlite; existing warehouses are "
-                             "auto-detected)")
     ingest.add_argument("stores", nargs="*",
                         help="committed campaign store directories")
     ingest.add_argument("--campaign-name", default=None,

@@ -1,68 +1,118 @@
 """The :class:`Warehouse` handle and :func:`open_warehouse` factory.
 
 A warehouse is a directory (or ``":memory:"`` for tests and one-shot
-gates) holding one backend's storage plus the shared writer lock.  The
-backend is chosen at creation time and auto-detected afterwards from
-what is on disk, so readers never need to be told which flavor they are
-opening::
+scripts) holding a single stdlib ``sqlite3`` database in WAL mode --
+concurrent readers never block the writer and vice versa -- plus the
+writer lock::
 
-    wh = open_warehouse("results/warehouse")            # sqlite (default)
-    wh = open_warehouse("results/wh2", backend="jsonl") # zero-dep fallback
-    wh = open_warehouse("results/warehouse")            # reopens, detected
+    wh = open_warehouse("results/warehouse")   # created on first open
 
-All query logic lives in :mod:`repro.warehouse.query` as pure functions
-over the backend's sorted row streams, which is what guarantees the two
-backends answer every query identically.
+All rows live in one generic ``rows`` table with a ``UNIQUE(tbl, key)``
+constraint, so idempotent re-ingest is a constraint check, not
+application logic.  Multi-process writers serialize on a
+:class:`~repro.scenarios.store.CommitLock`-style ``flock`` on
+``<root>/.warehouse.lock``; reads take no lock.
+
+Row iteration returns ``(seq, key, row)`` sorted by **key**, not by
+insertion order: two warehouses fed the same data by concurrently
+racing ingesters enumerate identically.  All query logic lives in
+:mod:`repro.warehouse.query` as pure functions over those sorted row
+streams.
 """
 
 from __future__ import annotations
 
+import contextlib
+import json
+import sqlite3
 from pathlib import Path
 from typing import Any, Iterator
 
-from repro.warehouse.backends import (
-    BACKENDS,
-    JSONL_DIRNAME,
-    SQLITE_FILENAME,
-    JsonlBackend,
-    SqliteBackend,
-)
+from repro.scenarios.store import CommitLock
 
-DEFAULT_BACKEND = SqliteBackend.name
-
-
-def detect_backend(root: str | Path) -> str | None:
-    """The backend a directory already holds, or ``None`` when empty."""
-    root = Path(root)
-    if (root / SQLITE_FILENAME).exists():
-        return SqliteBackend.name
-    if (root / JSONL_DIRNAME).exists():
-        return JsonlBackend.name
-    return None
+LOCK_FILENAME = ".warehouse.lock"
+SQLITE_FILENAME = "warehouse.sqlite"
+# Where warehouses written by the retired JSONL backend kept their
+# tables.  Such a directory has no database; opening it must fail
+# instead of creating an empty one beside the old tables.
+JSONL_TABLES_DIRNAME = "tables"
 
 
 class Warehouse:
-    """A thin facade over one backend: append keyed rows, stream
-    tables, vacuum.  Use :func:`open_warehouse` to construct."""
+    """Append keyed rows, stream tables, vacuum.  Use
+    :func:`open_warehouse` to construct."""
 
-    def __init__(self, backend: Any, root: Path | None) -> None:
-        self.backend = backend
+    def __init__(self, root: Path | None, lock_timeout: float = 30.0) -> None:
         self.root = root
+        if root is not None:
+            root.mkdir(parents=True, exist_ok=True)
+            db_path = str(root / SQLITE_FILENAME)
+        else:
+            db_path = ":memory:"
+        self._lock_timeout = lock_timeout
+        # check_same_thread=False: the query edge serves from
+        # http.server handler threads; every access here is either a
+        # single statement or wrapped in the writer flock.
+        self._conn = sqlite3.connect(db_path, timeout=lock_timeout,
+                                     check_same_thread=False)
+        if root is not None:
+            self._conn.execute("PRAGMA journal_mode=WAL")
+            self._conn.execute("PRAGMA synchronous=NORMAL")
+        self._conn.execute(
+            "CREATE TABLE IF NOT EXISTS rows ("
+            " seq INTEGER PRIMARY KEY AUTOINCREMENT,"
+            " tbl TEXT NOT NULL,"
+            " key TEXT NOT NULL,"
+            " data TEXT NOT NULL,"
+            " UNIQUE(tbl, key))")
+        self._conn.commit()
 
-    @property
-    def backend_name(self) -> str:
-        return self.backend.name
+    def _writer_lock(self):
+        if self.root is None:
+            # In-memory: one process by construction, nothing on disk.
+            return contextlib.nullcontext()
+        return CommitLock(self.root / LOCK_FILENAME,
+                          timeout=self._lock_timeout)
 
     def append_rows(self, table: str,
                     keyed_rows: list[tuple[str, dict[str, Any]]],
                     ) -> tuple[int, int]:
-        return self.backend.append_rows(table, keyed_rows)
+        """Insert ``(key, row)`` pairs; returns ``(inserted,
+        duplicates)``.  A key already present leaves the stored row
+        untouched (append-only: first write wins for a given key)."""
+        if not keyed_rows:
+            return 0, 0
+        with self._writer_lock():
+            cursor = self._conn.executemany(
+                "INSERT OR IGNORE INTO rows (tbl, key, data) "
+                "VALUES (?, ?, ?)",
+                [(table, key, json.dumps(row, sort_keys=True))
+                 for key, row in keyed_rows])
+            self._conn.commit()
+            inserted = cursor.rowcount if cursor.rowcount >= 0 else 0
+        return inserted, len(keyed_rows) - inserted
 
     def rows(self, table: str) -> Iterator[tuple[int, str, dict]]:
-        return self.backend.iter_rows(table)
+        cursor = self._conn.execute(
+            "SELECT seq, key, data FROM rows WHERE tbl = ? ORDER BY key",
+            (table,))
+        for seq, key, data in cursor:
+            yield int(seq), str(key), json.loads(data)
 
     def counts(self) -> dict[str, int]:
-        return self.backend.counts()
+        cursor = self._conn.execute(
+            "SELECT tbl, COUNT(*) FROM rows GROUP BY tbl ORDER BY tbl")
+        return {str(tbl): int(n) for tbl, n in cursor}
+
+    def _delete_keys(self, table: str, keys: list[str]) -> int:
+        if not keys:
+            return 0
+        with self._writer_lock():
+            cursor = self._conn.executemany(
+                "DELETE FROM rows WHERE tbl = ? AND key = ?",
+                [(table, key) for key in keys])
+            self._conn.commit()
+            return cursor.rowcount if cursor.rowcount >= 0 else 0
 
     def vacuum(self) -> dict[str, int]:
         """Drop superseded duplicates, then compact the storage.
@@ -87,14 +137,16 @@ class Warehouse:
                     latest[identity] = (seq, key)
                 else:
                     drop.append(key)
-            count = self.backend.delete_keys(table, drop)
+            count = self._delete_keys(table, drop)
             if count:
                 removed[table] = count
-        self.backend.vacuum()
+        with self._writer_lock():
+            self._conn.execute("VACUUM")
+            self._conn.commit()
         return removed
 
     def close(self) -> None:
-        self.backend.close()
+        self._conn.close()
 
     def __enter__(self) -> "Warehouse":
         return self
@@ -104,36 +156,27 @@ class Warehouse:
 
 
 def open_warehouse(target: "str | Path | Warehouse",
-                   backend: str | None = None,
                    lock_timeout: float = 30.0) -> Warehouse:
     """Open (creating if needed) the warehouse at ``target``.
 
     ``target`` may be a directory path, ``":memory:"`` (private
-    in-process sqlite, used by one-shot gates), or an existing
+    in-process sqlite, for tests and one-shot scripts), or an existing
     :class:`Warehouse` (returned as-is, so APIs can accept either).
-    ``backend`` picks the storage flavor for a *new* warehouse
-    (``"sqlite"`` default, ``"jsonl"`` fallback); an existing directory
-    is auto-detected and ``backend`` must match it if given.
+    A directory holding only an old JSONL-backend warehouse raises
+    ``ValueError``: its rows cannot be read here, and an empty
+    database created beside them would answer every query with
+    nothing.
     """
     if isinstance(target, Warehouse):
         return target
     if str(target) == ":memory:":
-        if backend not in (None, SqliteBackend.name):
-            raise ValueError(f"in-memory warehouses are sqlite-only, "
-                             f"got backend={backend!r}")
-        return Warehouse(SqliteBackend(None), root=None)
+        return Warehouse(None)
     root = Path(target)
-    detected = detect_backend(root) if root.exists() else None
-    if detected is not None:
-        if backend is not None and backend != detected:
-            raise ValueError(
-                f"warehouse at {root} is {detected!r}, not {backend!r}")
-        backend = detected
-    elif backend is None:
-        backend = DEFAULT_BACKEND
-    try:
-        factory = BACKENDS[backend]
-    except KeyError:
-        raise ValueError(f"unknown warehouse backend {backend!r}; "
-                         f"expected one of {sorted(BACKENDS)}") from None
-    return Warehouse(factory(root, lock_timeout=lock_timeout), root=root)
+    if ((root / JSONL_TABLES_DIRNAME).is_dir()
+            and not (root / SQLITE_FILENAME).exists()):
+        raise ValueError(
+            f"{root} is a JSONL warehouse, which is no longer supported; "
+            f"re-ingest its campaign stores and BENCH_*.json snapshots "
+            f"into a new warehouse directory (python -m repro.warehouse "
+            f"ingest --db <new dir> ...)")
+    return Warehouse(root, lock_timeout=lock_timeout)

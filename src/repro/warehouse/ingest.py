@@ -11,8 +11,8 @@ ingesting different stores into one warehouse serialize on the writer
 lock without losing rows.
 
 :func:`ingest_bench` loads ``BENCH_<n>.json`` snapshot files (the
-cross-PR perf trajectory) so the bench-trend gate becomes a warehouse
-query.
+cross-PR perf trajectory), which ``python -m repro.warehouse trend
+--gate`` then checks for regressions.
 """
 
 from __future__ import annotations
@@ -110,8 +110,8 @@ def ingest_store(target: "str | Path | Warehouse", store_root: str | Path,
 
 def ingest_bench(target: "str | Path | Warehouse",
                  paths: "list[str | Path]") -> IngestReport:
-    """Ingest ``BENCH_<n>.json`` snapshot files (the number comes from
-    the filename, matching ``bench_trend.load_snapshots``)."""
+    """Ingest ``BENCH_<n>.json`` snapshot files (the number ``<n>``
+    comes from the filename)."""
     import json
 
     wh = open_warehouse(target)
@@ -126,24 +126,6 @@ def ingest_bench(target: "str | Path | Warehouse",
                     f"{path.name}: not a BENCH_<n>.json snapshot")
             rows.append(schema.bench_row(int(match.group(1)),
                                          json.loads(path.read_text())))
-        report.bench, report.duplicates = wh.append_rows(
-            schema.TABLE_BENCH, rows)
-    finally:
-        if not isinstance(target, Warehouse):
-            wh.close()
-    return report
-
-
-def ingest_snapshots(target: "str | Path | Warehouse",
-                     snapshots: list[tuple[int, dict]]) -> IngestReport:
-    """Ingest already-loaded ``(number, snapshot)`` pairs (the shape
-    ``bench_trend.load_snapshots`` returns); used by the gate's
-    in-memory path."""
-    wh = open_warehouse(target)
-    report = IngestReport(source="bench")
-    try:
-        rows = [schema.bench_row(number, snapshot)
-                for number, snapshot in snapshots]
         report.bench, report.duplicates = wh.append_rows(
             schema.TABLE_BENCH, rows)
     finally:

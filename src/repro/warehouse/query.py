@@ -1,8 +1,8 @@
 """Cross-campaign queries over an ingested warehouse.
 
-Pure functions over the backend's key-sorted row streams -- no SQL in
-the query layer, so the sqlite and JSONL backends answer every query
-byte-identically by construction.
+Pure functions over the warehouse's key-sorted row streams -- no SQL
+in the query layer, so every answer is independent of the order rows
+were ingested in.
 
 Three families:
 
@@ -15,10 +15,10 @@ Three families:
 - **telemetry queries** -- :func:`telemetry_totals`, summing the
   per-run ``repro.obs`` deltas a campaign's ``metrics.jsonl`` carried;
 - **the perf trend** -- :func:`bench_snapshots` /
-  :func:`trend_failures` / :func:`obs_overhead_failures`, the exact
-  rules ``benchmarks/bench_trend.py`` gates CI with (that script is now
-  a thin client of these), plus :func:`trend_series` for the CLI's
-  per-meter trajectory listing.
+  :func:`trend_failures` / :func:`obs_overhead_failures`, the rules
+  CI's ``python -m repro.warehouse trend --gate`` step applies to the
+  committed ``BENCH_*.json`` snapshots, plus :func:`trend_series` for
+  the CLI's per-meter trajectory listing.
 """
 
 from __future__ import annotations
@@ -34,8 +34,10 @@ OBS_OVERHEAD_BUDGET_PCT = 10.0
 
 
 def is_duration_meter(name: str) -> bool:
-    """``*_sec`` meters improve downward, ``*_per_sec`` rates upward
-    (mirrors ``benchmarks/meters.py``, the naming convention's home)."""
+    """``*_sec`` meters are durations that improve downward (such as
+    ``widegrid_trial_sec``); ``*_per_sec`` meters are rates that
+    improve upward.  The snapshot driver ``benchmarks/hotpath.py`` and
+    the trend gate share this one predicate."""
     return name.endswith("_sec") and not name.endswith("_per_sec")
 
 
@@ -136,8 +138,7 @@ def query_runs(wh: Warehouse, where: dict[str, Any] | None = None,
     dict (``failover_latency_sec``, ``control_cost``, ...); runs where
     the meter is null are excluded from the stats but still counted in
     ``runs``.  Percentiles are nearest-rank.  Groups come back sorted
-    by their group-key values, so the output is deterministic and
-    backend-independent.
+    by their group-key values, so the output is deterministic.
     """
     for field in group_by:
         if field not in schema.RUN_DIMENSIONS:
@@ -207,7 +208,7 @@ def telemetry_totals(wh: Warehouse,
 
 
 # ----------------------------------------------------------------------
-# Perf trend (the bench_trend gate, as a query)
+# Perf trend (the CI regression gate, as a query)
 # ----------------------------------------------------------------------
 def bench_snapshots(wh: Warehouse) -> list[tuple[int, dict]]:
     """``(number, snapshot)`` pairs in number order.  If a number was
@@ -227,11 +228,11 @@ def trend_failures(snapshots: list[tuple[int, dict]],
                    meters: Sequence[str] | None = None) -> list[str]:
     """Regression messages (empty = the trend holds).
 
-    The gate rule, verbatim from the original ``bench_trend`` script:
-    each snapshot's ``optimized`` meters are compared against the
-    latest prior snapshot that recorded the same meter; ``*_per_sec``
-    rates regress by dropping below ``prior * (1 - tolerance)``, bare
-    ``*_sec`` durations by rising above ``prior * (1 + tolerance)``.
+    The gate rule: each snapshot's ``optimized`` meters are compared
+    against the latest prior snapshot that recorded the same meter;
+    ``*_per_sec`` rates regress by dropping below
+    ``prior * (1 - tolerance)``, bare ``*_sec`` durations by rising
+    above ``prior * (1 + tolerance)``.
     ``meters`` restricts the check to named meters (default: all).
     """
     failures: list[str] = []
@@ -269,7 +270,7 @@ def obs_overhead_failures(snapshots: list[tuple[int, dict]],
                           ) -> list[str]:
     """Telemetry-budget violations in the latest ``obs_overhead``
     table (the budget constrains current instrumentation, not
-    history) -- verbatim from the original gate."""
+    history)."""
     carrying = [(n, s) for n, s in snapshots if s.get("obs_overhead")]
     if not carrying:
         return []

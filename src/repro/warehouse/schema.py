@@ -12,7 +12,7 @@ stream of JSON-object rows addressed by a **content key**:
 - ``bench``      -- one row per ``BENCH_<n>.json`` perf snapshot.
 
 Every row is keyed by its dimensions *plus a digest of its content*, so
-re-ingesting the same store (or snapshot) is a no-op: the backend's
+re-ingesting the same store (or snapshot) is a no-op: the warehouse's
 unique-key insert turns byte-identical rows into counted duplicates
 instead of copies.  Ingesting genuinely new content for the same run id
 appends a new row -- the warehouse is append-only; ``vacuum`` drops
@@ -70,7 +70,7 @@ def run_row(record: dict[str, Any], *, campaign: str, tenant: str,
 
     The full record rides along under ``"record"`` (any stored run stays
     reproducible from the warehouse alone); the dimensions are lifted to
-    the top level so backends and queries never re-parse it.  Failed-run
+    the top level so queries never re-parse it.  Failed-run
     records (the distributed runner's bounded-retry commits, ``error``
     instead of ``metrics``) ingest with ``ok=False``.
     """

@@ -9,8 +9,6 @@ adds what that suite cannot see:
   sockets (a no-goodbye disconnect mid-lease, a hung lease expiring,
   and the late result from the original holder being dropped), so the
   lease state machine is pinned independently of ``WorkerAgent``;
-- the compressed/uncompressed **interop matrix** through a full
-  campaign (a compression-enabled coordinator must serve plain peers);
 - the status broadcaster's **shared-snapshot** bound: snapshot
   construction scales with ticks, not ticks x subscribers;
 - a concurrent-connection ramp smoke (hundreds of idle clients on one
@@ -53,20 +51,16 @@ def _echo(x):
 # ----------------------------------------------------------------------
 # Wire-level fakes: a worker and a client as bare sockets
 # ----------------------------------------------------------------------
-def _fake_worker(address, slots=1, name="fake-worker", features=()):
+def _fake_worker(address, slots=1, name="fake-worker"):
     sock = coordinator_mod.connect(address, role="worker", name=name,
-                                   slots=slots, features=features or None)
+                                   slots=slots)
     sock.settimeout(10.0)
-    header, _ = recv_message(sock)
-    assert header["type"] == "welcome"
     return sock
 
 
 def _fake_client(address, name="fake-client"):
     sock = coordinator_mod.connect(address, role="client", name=name)
     sock.settimeout(10.0)
-    header, _ = recv_message(sock)
-    assert header["type"] == "welcome"
     return sock
 
 
@@ -182,47 +176,6 @@ def test_attempt_budget_exhaustion_fails_the_job():
 
 
 # ----------------------------------------------------------------------
-# Interop matrix: compressed coordinator, plain peers (and vice versa)
-# ----------------------------------------------------------------------
-def test_uncompressed_peers_against_compression_enabled_coordinator():
-    """A cluster that never advertises zlib runs a full campaign
-    against the (always compression-capable) coordinator."""
-    with LocalCluster(n_workers=2, slots=2, compress=False) as cluster:
-        cluster.wait_for_workers()
-        values = cluster.runner().map_jobs(
-            sleepy_echo, [{"value": i} for i in range(10)])
-        assert values == list(range(10))
-
-
-def test_mixed_compressed_and_plain_peers_share_one_campaign():
-    """A zlib+batch worker and a plain worker serve the same batch; a
-    plain client collects it.  Every pairing decodes every frame."""
-    with Coordinator() as coordinator:
-        from repro.dist.worker import WorkerAgent
-
-        agents = [
-            WorkerAgent(coordinator.address, processes=0, slots=2,
-                        name="plain", compress=False).start(),
-            WorkerAgent(coordinator.address, processes=0, slots=2,
-                        name="rich", compress=True).start(),
-        ]
-        try:
-            _wait_until(lambda: len(coordinator.status()["workers"]) == 2,
-                        what="both workers to register")
-            from repro.dist.runner import DistributedCampaignRunner
-
-            with DistributedCampaignRunner(coordinator.address,
-                                           compress=False) as runner:
-                # Payloads fat enough to cross the compression floor.
-                jobs = [{"value": "x" * 2000 + str(i)} for i in range(24)]
-                values = runner.map_jobs(sleepy_echo, jobs)
-                assert values == [j["value"] for j in jobs]
-        finally:
-            for agent in agents:
-                agent.stop()
-
-
-# ----------------------------------------------------------------------
 # Broadcaster: one snapshot per tick, shared across subscribers
 # ----------------------------------------------------------------------
 def test_broadcaster_builds_one_snapshot_per_tick_not_per_subscriber():
@@ -290,8 +243,8 @@ def test_hundred_concurrent_idle_clients_echo_status():
 
 
 def test_batched_job_frames_preserve_result_order():
-    """A batch-negotiated worker fed a job_batch frame returns results
-    that map_jobs still orders correctly."""
+    """A worker fed job_batch frames returns results that map_jobs
+    still orders correctly."""
     with LocalCluster(n_workers=1, slots=16) as cluster:
         cluster.wait_for_workers()
         values = cluster.runner().map_jobs(
@@ -326,8 +279,7 @@ def test_job_batch_grants_split_at_the_byte_budget(monkeypatch):
 
     monkeypatch.setattr(protocol_mod, "BATCH_BYTES_BUDGET", 4096)
     with Coordinator() as coordinator:
-        worker = _fake_worker(coordinator.address, slots=8,
-                              features=("batch",))
+        worker = _fake_worker(coordinator.address, slots=8)
         client = _fake_client(coordinator.address)
         _submit(client, ["x" * 1500 for _ in range(8)])
         got, frames = 0, 0

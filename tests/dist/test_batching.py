@@ -82,7 +82,6 @@ class _OverlapDetectingSock:
 
 def test_heartbeat_and_result_flush_never_interleave_on_the_wire():
     agent = WorkerAgent("127.0.0.1:0", processes=0)
-    agent._batch = True
     sock = _OverlapDetectingSock()
     agent._sock = sock
     stop = threading.Event()
@@ -117,7 +116,6 @@ def test_flush_splits_outbox_past_the_byte_budget(monkeypatch):
     a, b = socket.socketpair()
     b.settimeout(10.0)
     agent = WorkerAgent("127.0.0.1:0", processes=0)
-    agent._batch = True
     agent._sock = a
     agent._flush_results(_batch_entries(10))
     seen, frames = [], 0
@@ -136,16 +134,15 @@ def test_flush_splits_outbox_past_the_byte_budget(monkeypatch):
 def test_flush_falls_back_to_single_frames_on_protocol_error(monkeypatch):
     real_send = protocol_mod.send_message
 
-    def batch_rejecting_send(sock, header, payload=None, compress=False):
+    def batch_rejecting_send(sock, header, payload=None):
         if header.get("type") == "result_batch":
             raise ProtocolError("synthetic oversized frame")
-        real_send(sock, header, payload, compress=compress)
+        real_send(sock, header, payload)
 
     monkeypatch.setattr(worker_mod, "send_message", batch_rejecting_send)
     a, b = socket.socketpair()
     b.settimeout(10.0)
     agent = WorkerAgent("127.0.0.1:0", processes=0)
-    agent._batch = True
     agent._sock = a
     agent._flush_results(_batch_entries(3))
     for i in range(3):
@@ -160,7 +157,6 @@ def test_failed_results_without_payload_batch_cleanly():
     a, b = socket.socketpair()
     b.settimeout(10.0)
     agent = WorkerAgent("127.0.0.1:0", processes=0)
-    agent._batch = True
     agent._sock = a
     agent._flush_results([
         ({"job_id": "j0", "attempt": 1, "ok": True}, b"value"),

@@ -1,15 +1,17 @@
-"""Compressed-frame protocol tests: the zlib flag bit, negotiation,
-and the sender/receiver interop matrix.
+"""Compressed-frame protocol tests: the zlib flag bit and the
+raw/compressed interop on one connection.
 
 The load-bearing invariant is that *receivers always accept both
 forms*: the compression flag is carried per-frame in the length
-prefix, so any mix of compressing and non-compressing peers on one
-connection round-trips -- hypothesis drives random headers/payloads
-through every flag combination.  The guard tests pin the failure
-taxonomy: truncated zlib streams, zlib bombs and oversized frames are
-:class:`ProtocolError` (a broken peer), never a hang or an allocation.
+prefix (small and incompressible bodies ship raw), so any mix of raw
+and compressed frames on one connection round-trips -- hypothesis
+drives random headers/payloads through every mix.  The guard tests pin
+the failure taxonomy: truncated zlib streams, zlib bombs and oversized
+frames are :class:`ProtocolError` (a broken peer), never a hang or an
+allocation.
 """
 
+import json
 import socket
 import struct
 import zlib
@@ -21,14 +23,10 @@ from hypothesis import strategies as st
 from repro.dist.protocol import (
     COMPRESS_FLAG,
     COMPRESS_MIN_BYTES,
-    FEATURE_BATCH,
-    FEATURE_ZLIB,
     MAX_FRAME_BYTES,
     ProtocolError,
-    negotiate_features,
     pack_message,
     recv_message,
-    send_message,
 )
 
 
@@ -36,19 +34,13 @@ def _pipe() -> tuple[socket.socket, socket.socket]:
     return socket.socketpair()
 
 
-# ----------------------------------------------------------------------
-# Negotiation
-# ----------------------------------------------------------------------
-def test_negotiate_features_is_the_supported_intersection():
-    assert negotiate_features([FEATURE_ZLIB, "future-thing"]) == \
-        {FEATURE_ZLIB}
-    assert negotiate_features([FEATURE_ZLIB, FEATURE_BATCH]) == \
-        {FEATURE_ZLIB, FEATURE_BATCH}
-
-
-@pytest.mark.parametrize("advertised", [None, [], ()])
-def test_old_peer_negotiates_nothing(advertised):
-    assert negotiate_features(advertised) == set()
+def _raw_frame(header, payload=None) -> bytes:
+    """The uncompressed encoding of a frame, whatever its size (what
+    ``pack_message`` emits for small or incompressible bodies)."""
+    head = json.dumps(header, separators=(",", ":"),
+                      sort_keys=True).encode("utf-8")
+    body = struct.pack(">I", len(head)) + head + (payload or b"")
+    return struct.pack(">I", len(body)) + body
 
 
 # ----------------------------------------------------------------------
@@ -56,28 +48,27 @@ def test_old_peer_negotiates_nothing(advertised):
 # ----------------------------------------------------------------------
 def test_large_frame_actually_compresses_on_the_wire():
     payload = b"A" * 100_000  # maximally compressible
-    raw = pack_message({"type": "result"}, payload)
-    packed = pack_message({"type": "result"}, payload, compress=True)
-    assert len(packed) < len(raw) // 10
+    packed = pack_message({"type": "result"}, payload)
+    assert len(packed) < len(_raw_frame({"type": "result"}, payload)) // 10
     assert struct.unpack(">I", packed[:4])[0] & COMPRESS_FLAG
 
 
-def test_small_frame_ships_raw_even_when_compression_negotiated():
-    packed = pack_message({"type": "heartbeat"}, compress=True)
+def test_small_frame_ships_raw():
+    packed = pack_message({"type": "heartbeat"})
     assert not struct.unpack(">I", packed[:4])[0] & COMPRESS_FLAG
-    assert len(pack_message({"type": "heartbeat"})) == len(packed)
+    assert packed == _raw_frame({"type": "heartbeat"})
 
 
 def test_incompressible_frame_ships_raw():
     import random
 
     payload = random.Random(7).randbytes(8 * COMPRESS_MIN_BYTES)
-    packed = pack_message({"type": "result"}, payload, compress=True)
+    packed = pack_message({"type": "result"}, payload)
     assert not struct.unpack(">I", packed[:4])[0] & COMPRESS_FLAG
 
 
 # ----------------------------------------------------------------------
-# Interop matrix (hypothesis): any sender flag mix round-trips
+# Interop (hypothesis): any mix of raw and compressed frames round-trips
 # ----------------------------------------------------------------------
 _headers = st.fixed_dictionaries(
     {"type": st.sampled_from(["result", "job", "status_update"])},
@@ -109,7 +100,8 @@ def test_any_flag_mix_roundtrips_on_one_connection(header, payload,
     a, b = _pipe()
     try:
         for flag in sender_flags:
-            send_message(a, header, payload, compress=flag)
+            a.sendall(pack_message(header, payload) if flag
+                      else _raw_frame(header, payload))
         for flag in sender_flags:
             got_header, got_payload = recv_message(b)
             assert got_header == header
@@ -122,10 +114,11 @@ def test_any_flag_mix_roundtrips_on_one_connection(header, payload,
           suppress_health_check=[HealthCheck.too_slow])
 @given(payload=st.binary(min_size=1, max_size=32).map(lambda b: b * 300))
 def test_compressed_and_raw_encodings_parse_identically(payload):
-    """pack(compress=True) and pack() decode to the same frame."""
+    """pack_message's frame (compressed once past the floor) and the raw
+    encoding of the same frame decode identically."""
     header = {"type": "result", "ok": True}
     for packed in (pack_message(header, payload),
-                   pack_message(header, payload, compress=True)):
+                   _raw_frame(header, payload)):
         a, b = _pipe()
         try:
             a.sendall(packed)
@@ -144,7 +137,7 @@ def _send_compressed_body(sock: socket.socket, body: bytes) -> None:
 
 
 def test_truncated_zlib_stream_rejected():
-    frame = pack_message({"type": "result"}, b"x" * 4096, compress=True)
+    frame = pack_message({"type": "result"}, b"x" * 4096)
     prefix = struct.unpack(">I", frame[:4])[0]
     assert prefix & COMPRESS_FLAG, "test needs a compressed frame"
     body = frame[4:-10]  # drop the stream's tail
@@ -212,12 +205,11 @@ def test_pack_rejects_bodies_over_the_cap(monkeypatch):
     import repro.dist.protocol as protocol
 
     monkeypatch.setattr(protocol, "MAX_FRAME_BYTES", 1 << 12)
+    # Compression cannot rescue an oversized body (8 KiB of b"x"
+    # deflates to a few bytes): the cap applies to the decompressed
+    # size, which is what the receiver would check.
     with pytest.raises(ProtocolError):
         pack_message({"type": "result"}, b"x" * (1 << 13))
-    # Compression cannot rescue an oversized body: the cap applies to
-    # the decompressed size, which is what the receiver would check.
-    with pytest.raises(ProtocolError):
-        pack_message({"type": "result"}, b"x" * (1 << 13), compress=True)
 
 
 def test_max_frame_is_far_below_the_flag_bit():

@@ -25,7 +25,6 @@ from repro.dist import coordinator as coordinator_mod
 from repro.dist.coordinator import Coordinator
 from repro.dist.fairshare import FairScheduler, validate_weight
 from repro.dist.protocol import (
-    FEATURE_SCHED,
     dumps_payload,
     loads_payload,
     pack_blob_list,
@@ -264,13 +263,9 @@ def test_fractional_weight_replenish_is_closed_form():
 # ----------------------------------------------------------------------
 # Wire level: the broker edge
 # ----------------------------------------------------------------------
-def _sched_client(address, name):
-    sock = coordinator_mod.connect(address, role="client", name=name,
-                                   features=(FEATURE_SCHED,))
+def _client(address, name):
+    sock = coordinator_mod.connect(address, role="client", name=name)
     sock.settimeout(10.0)
-    header, _ = recv_message(sock)
-    assert header["type"] == "welcome"
-    assert FEATURE_SCHED in header.get("features", [])
     return sock
 
 
@@ -305,14 +300,12 @@ def _fake_worker(address, slots=1, name="fw"):
     sock = coordinator_mod.connect(address, role="worker", name=name,
                                    slots=slots)
     sock.settimeout(10.0)
-    header, _ = recv_message(sock)
-    assert header["type"] == "welcome"
     return sock
 
 
 def test_zero_weight_rejected_at_submit_edge():
     with Coordinator() as coordinator:
-        client = _sched_client(coordinator.address, "zero")
+        client = _client(coordinator.address, "zero")
         _submit_weighted(client, [1, 2], weight=0)
         header, _ = recv_message(client)
         assert header["type"] == "error"
@@ -331,11 +324,11 @@ def test_zero_weight_rejected_in_runner_constructor():
 
 
 def test_weighted_grant_split_tracks_declared_weights():
-    """Two backlogged sched tenants at weights 1:3 split a 1-slot
+    """Two backlogged tenants at weights 1:3 split a 1-slot
     worker's grants ~1:3 over any window."""
     with Coordinator() as coordinator:
-        light = _sched_client(coordinator.address, "light")
-        heavy = _sched_client(coordinator.address, "heavy")
+        light = _client(coordinator.address, "light")
+        heavy = _client(coordinator.address, "heavy")
         _submit_weighted(light, list(range(24)), weight=1)
         _submit_weighted(heavy, list(range(24)), weight=3)
         # Worker connects after both backlogs exist, so every grant is
@@ -356,12 +349,12 @@ def test_late_small_campaign_overtakes_fifo_backlog_on_wire():
     a deep backlog -- the old single-FIFO broker made B wait for all of
     A."""
     with Coordinator() as coordinator:
-        monster = _sched_client(coordinator.address, "monster")
+        monster = _client(coordinator.address, "monster")
         _submit_weighted(monster, list(range(40)), weight=1)
         worker = _fake_worker(coordinator.address, slots=1)
         for _ in range(5):
             assert _campaign_of(_serve_one(worker)) is not None
-        late = _sched_client(coordinator.address, "late")
+        late = _client(coordinator.address, "late")
         _submit_weighted(late, [100, 101, 102], weight=1)
         grants = [_campaign_of(_serve_one(worker)) for _ in range(10)]
         assert len(set(grants)) == 2
@@ -383,8 +376,8 @@ def test_crash_requeue_stays_in_tenant_lane():
     attempt 2, ahead of its later jobs, and the other tenant's lane is
     untouched."""
     with Coordinator(worker_timeout=5.0) as coordinator:
-        a = _sched_client(coordinator.address, "tenant-a")
-        b = _sched_client(coordinator.address, "tenant-b")
+        a = _client(coordinator.address, "tenant-a")
+        b = _client(coordinator.address, "tenant-b")
         _submit_weighted(a, [0, 1, 2], weight=1)
         victim = _fake_worker(coordinator.address, name="victim")
         header, _payload = None, None
@@ -418,20 +411,12 @@ def test_crash_requeue_stays_in_tenant_lane():
         survivor.close(), a.close(), b.close()
 
 
-def test_legacy_client_interoperates_as_weight_one():
-    """A client that never negotiated ``sched`` is a plain weight-1
-    lane: its submit carries no weight, its jobs still complete, and a
-    stray ``weight`` header from it is ignored rather than honoured."""
+def test_submit_without_weight_is_weight_one():
+    """A submit with no ``weight`` field is a plain weight-1 tenant:
+    its jobs complete and the status snapshot reports weight 1."""
     with Coordinator() as coordinator:
-        legacy = coordinator_mod.connect(coordinator.address,
-                                         role="client", name="legacy")
-        legacy.settimeout(10.0)
-        header, _ = recv_message(legacy)
-        assert header["type"] == "welcome"
-        assert FEATURE_SCHED not in header.get("features", [])
-        # Stray weight from a non-sched client must not be honoured
-        # (and must not be rejected either: old clients never sent it).
-        _submit_weighted(legacy, [7], weight=50)
+        client = _client(coordinator.address, "unweighted")
+        _submit_weighted(client, [7])
         deadline = time.monotonic() + 10.0
         status = coordinator.status()
         while not status["campaigns"]:
@@ -441,7 +426,7 @@ def test_legacy_client_interoperates_as_weight_one():
         assert status["campaigns"][0]["weight"] == 1.0
         worker = _fake_worker(coordinator.address)
         _serve_one(worker)
-        header, payload = recv_message(legacy)
+        header, payload = recv_message(client)
         assert header["type"] == "result" and header["ok"]
         assert loads_payload(payload) == 7
-        worker.close(), legacy.close()
+        worker.close(), client.close()

@@ -39,8 +39,6 @@ def _subscribe(address, period=0.1, timeout=5.0):
     sock = coordinator_mod.connect(address, role="client",
                                    name="stream-test", timeout=10.0)
     sock.settimeout(timeout)
-    header, _ = recv_message(sock)
-    assert header["type"] == "welcome"
     send_message(sock, {"type": "subscribe", "period": period})
     header, _ = recv_message(sock)
     assert header["type"] == "subscribed"

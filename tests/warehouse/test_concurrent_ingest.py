@@ -2,7 +2,7 @@
 
 Two *processes* ingest two different campaign stores into the same
 warehouse at the same time: the ``.warehouse.lock`` flock serializes
-the writers, so no rows are lost on either backend, and a follow-up
+the writers, so no rows are lost, and a follow-up
 re-ingest of either store is a pure no-op (every row a duplicate).
 """
 
@@ -10,8 +10,6 @@ import os
 import subprocess
 import sys
 from pathlib import Path
-
-import pytest
 
 from repro.scenarios.store import ResultsStore
 from repro.warehouse import campaigns, ingest_store, open_warehouse
@@ -34,33 +32,30 @@ def _make_store(root, campaign_runs, tag):
     store.save_summary({"total_runs": campaign_runs})
 
 
-def _ingest_cli(db, store_root, tenant, backend):
+def _ingest_cli(db, store_root, tenant):
     env = dict(os.environ, PYTHONPATH=_SRC)
     return subprocess.Popen(
         [sys.executable, "-m", "repro.warehouse", "ingest",
-         "--db", str(db), "--backend", backend, str(store_root),
-         "--tenant", tenant],
+         "--db", str(db), str(store_root), "--tenant", tenant],
         env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
         text=True)
 
 
-@pytest.mark.parametrize("backend", ["sqlite", "jsonl"])
-def test_two_processes_ingest_simultaneously(tmp_path, backend):
+def test_two_processes_ingest_simultaneously(tmp_path):
     n = 60
     _make_store(tmp_path / "camp_a", n, "alpha")
     _make_store(tmp_path / "camp_b", n, "beta")
     db = tmp_path / "wh"
-    # Seed the warehouse first so both children agree on the backend
-    # and neither races the initial directory layout.
-    with open_warehouse(db, backend=backend):
+    # Seed the warehouse first so neither child races the initial
+    # directory layout.
+    with open_warehouse(db):
         pass
-    procs = [_ingest_cli(db, tmp_path / "camp_a", "alice", backend),
-             _ingest_cli(db, tmp_path / "camp_b", "bob", backend)]
+    procs = [_ingest_cli(db, tmp_path / "camp_a", "alice"),
+             _ingest_cli(db, tmp_path / "camp_b", "bob")]
     for proc in procs:
         out, err = proc.communicate(timeout=120)
         assert proc.returncode == 0, (out, err)
     with open_warehouse(db) as wh:
-        assert wh.backend_name == backend
         assert wh.counts()["runs"] == 2 * n
         assert wh.counts()["summaries"] == 2
         catalog = {(e["tenant"], e["campaign"]): e["runs"]
@@ -68,10 +63,9 @@ def test_two_processes_ingest_simultaneously(tmp_path, backend):
         assert catalog == {("alice", "camp_a"): n, ("bob", "camp_b"): n}
 
 
-@pytest.mark.parametrize("backend", ["sqlite", "jsonl"])
-def test_reingest_after_concurrent_load_is_noop(tmp_path, backend):
+def test_reingest_after_concurrent_load_is_noop(tmp_path):
     _make_store(tmp_path / "camp_a", 10, "alpha")
-    with open_warehouse(tmp_path / "wh", backend=backend) as wh:
+    with open_warehouse(tmp_path / "wh") as wh:
         report = ingest_store(wh, tmp_path / "camp_a", tenant="alice")
         assert report.inserted == 11
     again = ingest_store(tmp_path / "wh", tmp_path / "camp_a",
@@ -79,18 +73,16 @@ def test_reingest_after_concurrent_load_is_noop(tmp_path, backend):
     assert again.inserted == 0 and again.duplicates == 11
 
 
-@pytest.mark.parametrize("backend", ["sqlite", "jsonl"])
-def test_same_store_raced_by_two_processes_stays_exactly_once(
-        tmp_path, backend):
+def test_same_store_raced_by_two_processes_stays_exactly_once(tmp_path):
     """Both children ingest the *same* store under the same tenant:
     content digests make the second writer's rows duplicates, never
     double-counted rows."""
     n = 40
     _make_store(tmp_path / "camp_a", n, "alpha")
     db = tmp_path / "wh"
-    with open_warehouse(db, backend=backend):
+    with open_warehouse(db):
         pass
-    procs = [_ingest_cli(db, tmp_path / "camp_a", "alice", backend)
+    procs = [_ingest_cli(db, tmp_path / "camp_a", "alice")
              for _ in range(2)]
     outputs = []
     for proc in procs:

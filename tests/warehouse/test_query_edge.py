@@ -8,9 +8,9 @@ import pytest
 
 from repro.obs.http import MetricsServer
 from repro.obs.metrics import MetricsRegistry
-from repro.warehouse import ingest_snapshots, ingest_store, open_warehouse
+from repro.warehouse import ingest_bench, ingest_store, open_warehouse
 
-from test_warehouse import make_store
+from test_warehouse import make_store, write_bench
 
 
 def _get(url):
@@ -23,8 +23,9 @@ def edge(tmp_path):
     make_store(tmp_path / "camp_a", 4)
     with open_warehouse(tmp_path / "wh") as wh:
         ingest_store(wh, tmp_path / "camp_a", tenant="alice")
-        ingest_snapshots(wh, [(1, {"optimized": {"m_per_sec": 100.0}}),
-                              (2, {"optimized": {"m_per_sec": 90.0}})])
+        ingest_bench(wh, [
+            write_bench(tmp_path, 1, {"optimized": {"m_per_sec": 100.0}}),
+            write_bench(tmp_path, 2, {"optimized": {"m_per_sec": 90.0}})])
     with MetricsServer(MetricsRegistry(), port=0,
                        warehouse=str(tmp_path / "wh")) as server:
         yield server

@@ -1,4 +1,4 @@
-"""Results warehouse: ingest, idempotency, backend parity, queries.
+"""Results warehouse: ingest, idempotency, queries, vacuum, the CLI.
 
 The synthetic stores here are committed through the real
 :class:`ResultsStore` staging protocol, so what the warehouse ingests
@@ -14,9 +14,8 @@ import pytest
 from repro.scenarios.store import ResultsStore
 from repro.warehouse import (
     bench_snapshots,
-    campaign_summary,
     campaigns,
-    ingest_snapshots,
+    ingest_bench,
     ingest_store,
     open_warehouse,
     query_runs,
@@ -60,6 +59,13 @@ def make_store(root, campaign_runs, scenario_names=("alpha", "beta"),
     if with_telemetry:
         store.save_metrics_jsonl(obs_rows)
     return store
+
+
+def write_bench(root, number, snapshot):
+    """Write ``BENCH_<number>.json`` under ``root``; returns its path."""
+    path = root / f"BENCH_{number}.json"
+    path.write_text(json.dumps(snapshot))
+    return path
 
 
 def test_ingest_catalog_and_counts(tmp_path):
@@ -155,35 +161,19 @@ def test_telemetry_totals(tmp_path):
         assert totals["repro_engine_events_total"] == 100 + 101 + 102
 
 
-def test_backend_parity_byte_identical(tmp_path):
-    """The sqlite and JSONL backends answer every query identically on
-    the same ingested data (the acceptance criterion)."""
-    make_store(tmp_path / "camp_a", 6, grid_sizes=(50, 100))
-    make_store(tmp_path / "camp_b", 3)
-    answers = []
-    for backend in ("sqlite", "jsonl"):
-        with open_warehouse(tmp_path / f"wh_{backend}",
-                            backend=backend) as wh:
-            ingest_store(wh, tmp_path / "camp_a", tenant="alice")
-            ingest_store(wh, tmp_path / "camp_b", tenant="bob")
-            answers.append(json.dumps({
-                "catalog": campaigns(wh),
-                "query": query_runs(wh, group_by=("tenant", "scenario"),
-                                    meter="control_cost"),
-                "summary_a": campaign_summary(wh, "camp_a"),
-                "telemetry": telemetry_totals(wh),
-            }, sort_keys=True))
-    assert answers[0] == answers[1]
-
-
-def test_backend_autodetect_and_mismatch(tmp_path):
-    with open_warehouse(tmp_path / "wh", backend="jsonl"):
-        pass
-    assert open_warehouse(tmp_path / "wh").backend_name == "jsonl"
-    with pytest.raises(ValueError):
-        open_warehouse(tmp_path / "wh", backend="sqlite")
-    with pytest.raises(ValueError):
-        open_warehouse(tmp_path / "other", backend="parquet")
+def test_old_jsonl_warehouse_is_refused(tmp_path):
+    """A directory the retired JSONL backend wrote (``tables/`` and no
+    database) must not be shadowed by a fresh, empty sqlite warehouse
+    whose every query answers nothing."""
+    old = tmp_path / "wh"
+    (old / "tables").mkdir(parents=True)
+    (old / "tables" / "runs.jsonl").write_text(
+        '{"key": "k", "row": {}, "seq": 1}\n')
+    with pytest.raises(ValueError, match="re-ingest"):
+        open_warehouse(old)
+    with pytest.raises(ValueError, match="re-ingest"):
+        ingest_store(old, make_store(tmp_path / "camp_a", 1).root)
+    assert not (old / "warehouse.sqlite").exists()
 
 
 def test_vacuum_keeps_latest_version(tmp_path):
@@ -212,7 +202,8 @@ def test_trend_snapshots_and_gate(tmp_path):
                  (2, {"optimized": {"m_per_sec": 90.0, "t_sec": 1.1}}),
                  (3, {"optimized": {"m_per_sec": 60.0, "t_sec": 1.0}})]
     with open_warehouse(tmp_path / "wh") as wh:
-        ingest_snapshots(wh, snapshots)
+        ingest_bench(wh, [write_bench(tmp_path, number, snapshot)
+                          for number, snapshot in snapshots])
         loaded = bench_snapshots(wh)
         assert loaded == snapshots
         failures = trend_failures(loaded, tolerance=0.2)
