@@ -408,8 +408,8 @@ class WideGridRig:
     # ------------------------------------------------------------------
     def collect(self) -> WideGridResult:
         topo = self.topology
-        n = topo.graph.number_of_nodes()
-        links = topo.graph.number_of_edges()
+        n = len(topo.node_ids)
+        links = topo.n_links()
         result = WideGridResult(
             n_nodes=n, n_links=links,
             effective_range_m=self.effective_range_m,
@@ -507,13 +507,10 @@ def run_widegrid_placement(n_nodes: int = 100, seed: int = 3,
             caps.add("actuate:valve")
         capabilities[node_id] = frozenset(caps)
     # Hop distances from each task anchor via single-source BFS (the
-    # all-pairs table fig1 builds would be quadratic in a 256-node grid).
-    import networkx as nx
-
+    # all-pairs path table fig1 builds would be quadratic in a 256-node grid).
     hops: dict[tuple[str, str], int] = {}
     for a in node_ids:
-        for b, d in nx.single_source_shortest_path_length(
-                topology.graph, a).items():
+        for b, d in topology.hop_counts(a).items():
             if a < b:
                 hops[(a, b)] = d
     members = [VcMember(node_id, capabilities[node_id], cpu_capacity=0.5)

@@ -26,6 +26,17 @@ class RadioState(enum.Enum):
     TX = "tx"
 
 
+# Dense 0..3 index per state for the radio's energy lists.  An attribute
+# read costs no hashing; Enum.__hash__ is a Python-level call.
+for _index, _state in enumerate(RadioState):
+    _state.index = _index
+del _index, _state
+
+# Hot paths compare against module-level aliases: a member read through
+# the enum class goes through EnumType.__getattr__.
+_OFF = RadioState.OFF
+
+
 @dataclass(frozen=True)
 class RadioSpec:
     """Datasheet constants for the transceiver (CC2420 defaults)."""
@@ -46,14 +57,6 @@ class RadioSpec:
         return (total_bytes * 8 * SEC) // self.bitrate_bps
 
 
-_STATE_CURRENT = {
-    RadioState.OFF: "off_current_a",
-    RadioState.IDLE: "idle_current_a",
-    RadioState.RX: "rx_current_a",
-    RadioState.TX: "tx_current_a",
-}
-
-
 class Radio:
     """State-machine radio front-end with energy accounting.
 
@@ -66,10 +69,15 @@ class Radio:
     def __init__(self, engine, battery, spec: RadioSpec | None = None) -> None:
         self.engine = engine
         self.battery = battery
-        self.spec = spec or RadioSpec()
+        self.spec = spec = spec or RadioSpec()
         self.state = RadioState.OFF
-        self._state_since = engine.now
-        self._state_time: dict[RadioState, int] = {s: 0 for s in RadioState}
+        self._index = RadioState.OFF.index
+        self._clock = engine.clock
+        self._state_since = self._clock._now
+        # Per-state current and cumulative ticks, by RadioState.index.
+        self._currents = (spec.off_current_a, spec.idle_current_a,
+                          spec.rx_current_a, spec.tx_current_a)
+        self._state_ticks = [0, 0, 0, 0]
         self.tx_count = 0
         self.rx_count = 0
 
@@ -81,19 +89,21 @@ class Radio:
         if new_state is self.state:
             return
         self._settle()
-        if self.state is RadioState.OFF and new_state is not RadioState.OFF:
+        if self.state is _OFF and new_state is not _OFF:
             # Account startup as idle-current time.
             self.battery.draw(self.spec.idle_current_a, self.spec.startup_ticks)
         self.state = new_state
+        self._index = new_state.index
 
     def _settle(self) -> None:
         """Charge the battery for time spent in the current state so far."""
-        elapsed = self.engine.now - self._state_since
+        now = self._clock._now
+        elapsed = now - self._state_since
         if elapsed > 0:
-            current = getattr(self.spec, _STATE_CURRENT[self.state])
-            self.battery.draw(current, elapsed)
-            self._state_time[self.state] += elapsed
-        self._state_since = self.engine.now
+            index = self._index
+            self.battery.draw(self._currents[index], elapsed)
+            self._state_ticks[index] += elapsed
+        self._state_since = now
 
     # ------------------------------------------------------------------
     # Introspection used by benches
@@ -101,15 +111,16 @@ class Radio:
     def state_time(self, state: RadioState) -> int:
         """Cumulative ticks spent in ``state`` (settled to now)."""
         self._settle()
-        return self._state_time[state]
+        return self._state_ticks[state.index]
 
     def duty_cycle(self) -> float:
         """Fraction of elapsed time with the radio in RX or TX."""
         self._settle()
-        total = sum(self._state_time.values())
+        ticks = self._state_ticks
+        total = sum(ticks)
         if total == 0:
             return 0.0
-        on = self._state_time[RadioState.RX] + self._state_time[RadioState.TX]
+        on = ticks[RadioState.RX.index] + ticks[RadioState.TX.index]
         return on / total
 
     def airtime(self, payload_bytes: int) -> int:

@@ -37,6 +37,7 @@ class NodeClock:
 
     def __init__(self, engine: Engine, drift_ppm: float = 0.0) -> None:
         self.engine = engine
+        self._clock = engine.clock
         self.drift_ppm = drift_ppm
         self._offset_at_sync = 0
         self._last_sync_global = engine.now
@@ -45,9 +46,10 @@ class NodeClock:
 
     def local_time(self) -> int:
         """The node's belief of the current global time, in ticks."""
-        elapsed = self.engine.now - self._last_sync_global
+        now = self._clock._now
+        elapsed = now - self._last_sync_global
         drift = int(elapsed * self.drift_ppm / 1e6)
-        return self.engine.now + self._offset_at_sync + drift
+        return now + self._offset_at_sync + drift
 
     def offset_error(self) -> int:
         """Signed ticks between local belief and true global time."""

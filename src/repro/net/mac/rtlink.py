@@ -201,14 +201,21 @@ class RtLinkMac(MacProtocol):
 
     def _run(self):
         cfg = self.config
+        slot_ticks = cfg.slot_ticks
+        guard_ticks = cfg.guard_ticks
+        node = self.node
+        clock = node.clock
+        radio = node.radio
+        port = self.port
+        rx = RadioState.RX
         # Cursor over absolute slot numbers: servicing a slot never causes
         # the next one to be skipped, even when wake-up runs late
         # (back-to-back RX slots are common at gateways).
-        cursor = self.node.clock.local_time() // cfg.slot_ticks + 1
+        cursor = clock.local_time() // slot_ticks + 1
         while self.running:
-            if self.node.failed:
+            if node.failed:
                 yield Delay(cfg.frame_ticks)
-                cursor = self.node.clock.local_time() // cfg.slot_ticks + 1
+                cursor = clock.local_time() // slot_ticks + 1
                 continue
             upcoming = self._calendar().next_interesting(cursor)
             if upcoming is None:
@@ -217,20 +224,29 @@ class RtLinkMac(MacProtocol):
                 continue
             abs_slot, kind = upcoming
             cursor = abs_slot + 1
-            slot_start_local = abs_slot * cfg.slot_ticks
-            wake_local = slot_start_local - cfg.guard_ticks
-            local_now = self.node.clock.local_time()
+            slot_start_local = abs_slot * slot_ticks
+            wake_local = slot_start_local - guard_ticks
+            local_now = clock.local_time()
             if wake_local > local_now:
                 yield Delay(wake_local - local_now)
-            if not self.running or self.node.failed:
+            if not self.running or node.failed:
                 continue
             self.slots_woken += 1
             if self._obs is not None:
                 self._obs.slots_woken.inc()
             if kind == "tx":
                 yield from self._tx_slot(slot_start_local)
-            else:
-                yield from self._rx_slot(slot_start_local)
+                continue
+            # RX slot, run inline: listen through the end of the slot plus
+            # a guard, however late the wake-up was (never past the *next*
+            # slot's guard window).
+            port.listen()
+            remaining = (slot_start_local + slot_ticks + guard_ticks
+                         - clock.local_time())
+            if remaining > 0:
+                yield Delay(remaining)
+            if radio.state is rx:
+                port.sleep()
 
     def _tx_slot(self, slot_start_local: int):
         cfg = self.config
@@ -263,18 +279,6 @@ class RtLinkMac(MacProtocol):
             if transmitted:
                 self._obs.slots_transmitted.inc()
         self.port.sleep()
-
-    def _rx_slot(self, slot_start_local: int):
-        cfg = self.config
-        self.port.listen()
-        # Listen through the end of the slot plus a guard, however late the
-        # wake-up was (never past the *next* slot's guard window).
-        slot_end_local = slot_start_local + cfg.slot_ticks + cfg.guard_ticks
-        remaining = slot_end_local - self.node.clock.local_time()
-        if remaining > 0:
-            yield Delay(remaining)
-        if self.node.radio.state is RadioState.RX:
-            self.port.sleep()
 
     def send(self, packet: Packet) -> bool:
         airtime = self.node.radio.airtime(packet.on_air_bytes)

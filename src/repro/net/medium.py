@@ -43,6 +43,11 @@ from repro.sim.engine import Engine
 from repro.sim.trace import Trace
 
 
+# Module-level aliases for the per-slot radio transitions: a member read
+# through the enum class goes through EnumType.__getattr__.
+_RX, _OFF, _IDLE = RadioState.RX, RadioState.OFF, RadioState.IDLE
+
+
 @dataclass(slots=True)
 class _Transmission:
     """One in-flight frame."""
@@ -89,13 +94,13 @@ class MediumPort:
         return self.medium._channel_busy(self.node.node_id)
 
     def listen(self) -> None:
-        self.node.radio.set_state(RadioState.RX)
+        self.node.radio.set_state(_RX)
 
     def sleep(self) -> None:
-        self.node.radio.set_state(RadioState.OFF)
+        self.node.radio.set_state(_OFF)
 
     def idle(self) -> None:
-        self.node.radio.set_state(RadioState.IDLE)
+        self.node.radio.set_state(_IDLE)
 
 
 class Medium:

@@ -1,17 +1,18 @@
 """Implicit tree routing.
 
 nano-RK ships a tree routing protocol; the EVM uses it for multi-hop Virtual
-Components that span more than one radio hop.  A :class:`TreeRouter` sits
-between the EVM and the MAC: it owns a next-hop table derived from a BFS tree
-rooted at the gateway, forwards frames not addressed to its node, and
-delivers the rest upward.
+Components that span more than one radio hop.  Each node knows only its
+parent and its children in a BFS tree rooted at the gateway.  A
+:class:`TreeRouter` sits between the EVM and the MAC: it reads next hops off
+that tree, forwards frames not addressed to its node, and delivers the rest
+upward.
 """
 
 from __future__ import annotations
 
-from typing import Callable
-
-import networkx as nx
+from bisect import bisect_right
+from collections.abc import Mapping
+from typing import Callable, Iterator
 
 from repro.net.mac.base import MacProtocol
 from repro.net.packet import BROADCAST, Packet
@@ -19,34 +20,86 @@ from repro.net.topology import Topology
 
 
 def build_tree_tables(topology: Topology, root: str,
-                      ) -> dict[str, dict[str, str]]:
+                      ) -> dict[str, Mapping[str, str]]:
     """Per-node next-hop tables over the BFS tree rooted at ``root``.
 
-    Returns ``tables[node][destination] = next_hop``.  Only tree edges are
-    used, matching an implicit-tree protocol where nodes know their parent
-    and children but not the full graph.
+    Returns ``tables[node][destination] = next_hop`` for every node the
+    tree reaches.  Only tree edges are used, matching an implicit-tree
+    protocol where nodes know their parent and children but not the full
+    graph: toward a node in its own subtree a node forwards to the child
+    above it, toward any other node to its parent.
+
+    Each table is a read-only view over one shared index -- parent
+    pointers, children, and every subtree as an interval of preorder
+    positions -- so the tables take O(n) memory, not n^2.
     """
     if root not in topology:
         raise KeyError(f"root {root!r} not in topology")
-    tree = nx.bfs_tree(topology.graph, root).to_undirected()
-    tables: dict[str, dict[str, str]] = {}
-    for node in tree.nodes:
-        paths = nx.shortest_path(tree, node)
-        table = {}
-        for dst, path in paths.items():
-            if dst == node or len(path) < 2:
-                continue
-            table[dst] = path[1]
-        tables[node] = table
-    return tables
+    parent = topology.bfs_tree_toward(root)
+    order = [root, *parent]
+    children: dict[str, list[str]] = {node: [] for node in order}
+    for child, up in parent.items():
+        children[up].append(child)
+    size = dict.fromkeys(order, 1)
+    for child in reversed(order[1:]):
+        size[parent[child]] += size[child]
+    # The subtree of n holds preorder positions [first[n], first[n] + size[n]).
+    first = {root: 0}
+    for node in order:
+        pos = first[node] + 1
+        for child in children[node]:
+            first[child] = pos
+            pos += size[child]
+    return {node: _TreeRoutes(first, node, parent.get(node), children[node],
+                              size[node])
+            for node in order}
+
+
+class _TreeRoutes(Mapping):
+    """One node's read-only ``{destination: next_hop}`` over a shared tree."""
+
+    __slots__ = ("_first", "_start", "_end", "_parent", "_kids",
+                 "_kid_starts")
+
+    def __init__(self, first: dict[str, int], node: str, parent: str | None,
+                 kids: list[str], size: int) -> None:
+        self._first = first
+        self._start = first[node]
+        self._end = self._start + size
+        self._parent = parent
+        self._kids = kids
+        self._kid_starts = [first[kid] for kid in kids]
+
+    def get(self, dst, default=None):
+        pos = self._first.get(dst)
+        if pos is None or pos == self._start:  # unreachable, or this node
+            return default
+        if self._start < pos < self._end:
+            return self._kids[bisect_right(self._kid_starts, pos) - 1]
+        return self._parent
+
+    def __getitem__(self, dst: str) -> str:
+        hop = self.get(dst)
+        if hop is None:
+            raise KeyError(dst)
+        return hop
+
+    def __iter__(self) -> Iterator[str]:
+        return (dst for dst, pos in self._first.items()
+                if pos != self._start)
+
+    def __len__(self) -> int:
+        return len(self._first) - 1
 
 
 class TreeRouter:
     """Forwarding layer bound to one node's MAC."""
 
-    def __init__(self, mac: MacProtocol, next_hops: dict[str, str]) -> None:
+    def __init__(self, mac: MacProtocol, next_hops: Mapping[str, str]) -> None:
         self.mac = mac
-        self.next_hops = dict(next_hops)
+        # Kept, not copied: a tree table is a view, and copying one would
+        # rebuild the n^2 table it exists to avoid.
+        self.next_hops = next_hops
         self.deliver_handler: Callable[[Packet], None] | None = None
         self.forwarded = 0
         self.no_route_drops = 0
@@ -59,10 +112,6 @@ class TreeRouter:
     def set_deliver_handler(self, fn: Callable[[Packet], None]) -> None:
         self.deliver_handler = fn
 
-    def update_routes(self, next_hops: dict[str, str]) -> None:
-        """Swap the table after a topology change (EVM membership events)."""
-        self.next_hops = dict(next_hops)
-
     def send(self, packet: Packet) -> bool:
         """Route ``packet`` toward ``packet.dst`` (may be multi-hop away)."""
         if packet.is_broadcast or packet.dst == self.node_id:
@@ -72,14 +121,12 @@ class TreeRouter:
         if next_hop is None:
             self.no_route_drops += 1
             return False
-        link_frame = Packet(src=self.node_id, dst=next_hop, kind=packet.kind,
+        # created_at is the origination time, kept for end-to-end latency.
+        link_frame = Packet(src=self.node_id, dst=next_hop,
+                            kind="route." + packet.kind,
                             payload=(packet.dst, packet.payload),
                             size_bytes=packet.size_bytes,
-                            created_at=packet.created_at or None
-                            or packet.created_at, hops=packet.hops)
-        # Preserve origination time for end-to-end latency accounting.
-        link_frame.created_at = packet.created_at
-        link_frame.kind = "route." + packet.kind
+                            created_at=packet.created_at, hops=packet.hops)
         return self.mac.send(link_frame)
 
     def _on_packet(self, packet: Packet) -> None:
@@ -125,7 +172,7 @@ class RoutedMacAdapter:
 
     FLOOD_PREFIX = "flood."
 
-    def __init__(self, mac: MacProtocol, next_hops: dict[str, str],
+    def __init__(self, mac: MacProtocol, next_hops: Mapping[str, str],
                  flood_ttl: int = 4, suppress_threshold: int = 0,
                  suppress_delay_ticks: int = 0) -> None:
         self.mac = mac

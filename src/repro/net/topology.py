@@ -1,9 +1,10 @@
 """Network topologies.
 
-A :class:`Topology` is a `networkx` graph over node ids with per-node planar
-positions.  The medium consults it for *audibility* (who can possibly hear
-whom); the link-quality model then decides per-frame survival.  Helpers build
-the layouts used across the experiments: the paper's 6-node HIL star/mesh,
+A :class:`Topology` is an undirected graph over node ids with per-node
+planar positions, kept as insertion-ordered adjacency dicts.  The medium
+consults it for *audibility* (who can possibly hear whom); the
+link-quality model then decides per-frame survival.  Helpers build the
+layouts used across the experiments: the paper's 6-node HIL star/mesh,
 lines for multi-hop tests, grids and random geometric graphs for scale.
 """
 
@@ -11,8 +12,7 @@ from __future__ import annotations
 
 import math
 import random
-
-import networkx as nx
+from typing import Iterable
 
 from repro.hardware.node import NodePosition
 
@@ -20,49 +20,73 @@ from repro.hardware.node import NodePosition
 class Topology:
     """Mutable connectivity graph with positions.
 
+    Neighbour order is link insertion order: a new link is appended at
+    both ends, re-adding a link leaves it in place, and a link removed and
+    added again goes to the end.  The medium resolves receivers in this
+    order, so it is part of every simulated result.
+
     ``version`` increments on every structural mutation; consumers that
     index the graph (the medium's audible-sender sets, carrier-sense
     horizons) compare it to invalidate their caches in O(1).
     """
 
     def __init__(self) -> None:
-        self.graph = nx.Graph()
+        # node -> {neighbour: None}; a dict keeps insertion order.
+        self._adj: dict[str, dict[str, None]] = {}
+        self._positions: dict[str, NodePosition] = {}
         self.version = 0
 
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
     def add_node(self, node_id: str, position: NodePosition | None = None) -> None:
-        if node_id in self.graph:
+        if node_id in self._adj:
             raise ValueError(f"node {node_id!r} already in topology")
-        self.graph.add_node(node_id, position=position or NodePosition(0.0, 0.0))
+        self._adj[node_id] = {}
+        self._positions[node_id] = position or NodePosition(0.0, 0.0)
         self.version += 1
 
     def add_link(self, a: str, b: str) -> None:
         for n in (a, b):
-            if n not in self.graph:
+            if n not in self._adj:
                 raise KeyError(f"unknown node {n!r}")
-        self.graph.add_edge(a, b)
+        self._adj[a][b] = None
+        self._adj[b][a] = None
         self.version += 1
 
     def remove_node(self, node_id: str) -> None:
         """Drop a node and all its links (topology-change experiments)."""
-        if node_id in self.graph:
-            self.graph.remove_node(node_id)
+        if node_id in self._adj:
+            for other in self._adj.pop(node_id):
+                if other != node_id:
+                    del self._adj[other][node_id]
+            del self._positions[node_id]
             self.version += 1
 
     def remove_link(self, a: str, b: str) -> None:
-        if self.graph.has_edge(a, b):
-            self.graph.remove_edge(a, b)
+        if self.has_link(a, b):
+            del self._adj[a][b]
+            if a != b:
+                del self._adj[b][a]
             self.version += 1
 
     def connect_by_range(self, radio_range_m: float) -> None:
-        """Create links between every node pair within ``radio_range_m``."""
-        nodes = list(self.graph.nodes)
-        for i, a in enumerate(nodes):
-            for b in nodes[i + 1:]:
-                if self.distance(a, b) <= radio_range_m:
-                    self.graph.add_edge(a, b)
+        """Create links between every node pair within ``radio_range_m``.
+
+        Pairs are tested, and links added, in the ``(i, j)`` node-index
+        order of a scan over all pairs, so neighbour order is the same as
+        that scan's; only the pairs :func:`_candidates` leaves are tested.
+        """
+        nodes = list(self._adj)
+        positions = [self._positions[n] for n in nodes]
+        adj = self._adj
+        for i, later in enumerate(_candidates(positions, radio_range_m)):
+            a, pa = nodes[i], positions[i]
+            for j in later:
+                if pa.distance_to(positions[j]) <= radio_range_m:
+                    b = nodes[j]
+                    adj[a][b] = None
+                    adj[b][a] = None
         self.version += 1
 
     # ------------------------------------------------------------------
@@ -70,39 +94,109 @@ class Topology:
     # ------------------------------------------------------------------
     @property
     def node_ids(self) -> list[str]:
-        return list(self.graph.nodes)
+        return list(self._adj)
 
     def __contains__(self, node_id: str) -> bool:
-        return node_id in self.graph
+        return node_id in self._adj
 
     def position(self, node_id: str) -> NodePosition:
-        return self.graph.nodes[node_id]["position"]
+        return self._positions[node_id]
 
     def neighbors(self, node_id: str) -> list[str]:
-        if node_id not in self.graph:
-            return []
-        return list(self.graph.neighbors(node_id))
+        return list(self._adj.get(node_id, ()))
 
     def has_link(self, a: str, b: str) -> bool:
-        return self.graph.has_edge(a, b)
+        return b in self._adj.get(a, ())
+
+    def links(self) -> list[tuple[str, str]]:
+        """Every link once, as ``(a, b)`` in node then neighbour order."""
+        seen: set[str] = set()
+        out = []
+        for node, nbrs in self._adj.items():
+            out.extend((node, nbr) for nbr in nbrs if nbr not in seen)
+            seen.add(node)
+        return out
+
+    def n_links(self) -> int:
+        return len(self.links())
 
     def distance(self, a: str, b: str) -> float:
         return self.position(a).distance_to(self.position(b))
 
+    def _bfs(self, source: str) -> dict[str, str | None]:
+        """Breadth-first parents of every node reachable from ``source``
+        (``source`` maps to None), in discovery order.  A node's parent
+        is the first node that reached it, neighbours taken in order."""
+        if source not in self._adj:
+            raise KeyError(f"unknown node {source!r}")
+        adj = self._adj
+        parents: dict[str, str | None] = {source: None}
+        frontier = [source]
+        while frontier:
+            next_frontier = []
+            for node in frontier:
+                for nbr in adj[node]:
+                    if nbr not in parents:
+                        parents[nbr] = node
+                        next_frontier.append(nbr)
+            frontier = next_frontier
+        return parents
+
     def is_connected(self) -> bool:
-        if self.graph.number_of_nodes() == 0:
+        if not self._adj:
             return True
-        return nx.is_connected(self.graph)
+        return len(self._bfs(next(iter(self._adj)))) == len(self._adj)
 
     def shortest_path(self, a: str, b: str) -> list[str]:
-        return nx.shortest_path(self.graph, a, b)
+        """One fewest-hop path from ``a`` to ``b``, both ends included."""
+        if b not in self._adj:
+            raise KeyError(f"unknown node {b!r}")
+        parents = self._bfs(a)
+        if b not in parents:
+            raise ValueError(f"no path from {a!r} to {b!r}")
+        path = [b]
+        while path[-1] != a:
+            path.append(parents[path[-1]])
+        return path[::-1]
+
+    def hop_counts(self, source: str) -> dict[str, int]:
+        """Hops from ``source`` to every node it reaches (itself: 0)."""
+        hops: dict[str, int] = {}
+        for node, parent in self._bfs(source).items():
+            hops[node] = 0 if parent is None else hops[parent] + 1
+        return hops
 
     def bfs_tree_toward(self, root: str) -> dict[str, str]:
-        """Parent pointers toward ``root`` (implicit tree routing)."""
-        parents: dict[str, str] = {}
-        for child, parent in nx.bfs_predecessors(self.graph, root):
-            parents[child] = parent
+        """Parent pointers toward ``root`` (implicit tree routing), in
+        breadth-first discovery order."""
+        parents = self._bfs(root)
+        del parents[root]
         return parents
+
+
+def _candidates(positions: list[NodePosition], radio_range_m: float,
+                ) -> list[Iterable[int]]:
+    """For each node ``i``, ascending indices ``j > i`` that may be in range.
+
+    Nodes are bucketed into square cells a hair wider than the range, and
+    only the 3x3 block of cells around a node is searched.  The margin
+    keeps rounding in the distance test and in the cell index from ever
+    putting an in-range pair two cells apart (for coordinates within
+    ~10^6 ranges of the origin).  A non-positive range keeps every pair.
+    """
+    n = len(positions)
+    if not radio_range_m > 0:
+        return [range(i + 1, n) for i in range(n)]
+    side = radio_range_m * (1.0 + 1e-9)
+    keys = [(math.floor(p.x / side), math.floor(p.y / side))
+            for p in positions]
+    cells: dict[tuple[int, int], list[int]] = {}
+    for i, key in enumerate(keys):
+        cells.setdefault(key, []).append(i)
+    return [sorted(j for gx in (cx - 1, cx, cx + 1)
+                   for gy in (cy - 1, cy, cy + 1)
+                   for j in cells.get((gx, gy), ()) if j > i)
+            for i, (cx, cy) in enumerate(keys)]
 
 
 # ----------------------------------------------------------------------

@@ -190,7 +190,7 @@ class Engine:
     @property
     def now(self) -> int:
         """Current simulated time in ticks."""
-        return self.clock.now
+        return self.clock._now
 
     @property
     def pending_events(self) -> int:

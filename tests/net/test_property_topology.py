@@ -37,12 +37,12 @@ def test_links_are_exactly_the_within_range_pairs(n, area, radio_range, seed):
         assert not topo.has_link(node, node)  # no self links
     expected = {(a, b) for i, a in enumerate(ids) for b in ids[i + 1:]
                 if topo.distance(a, b) <= radio_range}
-    actual = {tuple(sorted(edge)) for edge in topo.graph.edges}
+    actual = {tuple(sorted(edge)) for edge in topo.links()}
     expected = {tuple(sorted(pair)) for pair in expected}
     assert actual == expected
-    # nx.Graph cannot hold parallel edges; the count doubles as a
-    # no-duplicates check against the expected set.
-    assert topo.graph.number_of_edges() == len(expected)
+    # links() lists each link once; the count doubles as a no-duplicates
+    # check against the expected set.
+    assert topo.n_links() == len(topo.links()) == len(expected)
 
 
 @settings(max_examples=60, deadline=None)
@@ -54,7 +54,7 @@ def test_deterministic_under_fixed_rng(n, area, radio_range, seed):
     for node in a.node_ids:
         pa, pb = a.position(node), b.position(node)
         assert (pa.x, pa.y) == (pb.x, pb.y)
-    assert set(a.graph.edges) == set(b.graph.edges)
+    assert a.links() == b.links()
 
 
 @settings(max_examples=60, deadline=None)
@@ -71,7 +71,7 @@ def test_connected_variant_connects_same_placement(n, area, radio_range,
     for node in topo.node_ids:
         pt, pp = topo.position(node), plain.position(node)
         assert (pt.x, pt.y) == (pp.x, pp.y)
-    assert set(plain.graph.edges) <= set(topo.graph.edges)
+    assert set(plain.links()) <= set(topo.links())
     # Every added link is justified by the effective range.
-    for a, b in topo.graph.edges:
+    for a, b in topo.links():
         assert topo.distance(a, b) <= effective
