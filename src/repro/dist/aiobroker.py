@@ -190,6 +190,8 @@ class CoordinatorStats:
     # Trace-ring rows evicted inside completed runs (reported by the
     # workers per result frame): silent data loss made visible.
     trace_dropped: int = 0
+    # Autoscaler ticks that raised; the evaluation timer keeps running.
+    autoscale_errors: int = 0
 
 
 class _AioPeer:
@@ -990,7 +992,8 @@ class AsyncCoordinator:
                 await asyncio.get_running_loop().run_in_executor(
                     None, self._autoscaler.tick, snapshot)
             except Exception:  # noqa: BLE001 - a failed driver action
-                pass           # must not kill the evaluation timer
+                # must not kill the evaluation timer; count it instead.
+                self.stats.autoscale_errors += 1
 
     # ------------------------------------------------------------------
     # Timers: reaper + status broadcaster

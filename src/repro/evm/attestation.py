@@ -32,11 +32,3 @@ def verify_attestation(image: bytes, nonce: bytes, digest: bytes) -> bool:
     """Does ``digest`` match ``image`` under ``nonce``?  Constant-time."""
     expected = attest_digest(image, nonce)
     return hmac.compare_digest(expected, bytes(digest))
-
-
-class AttestationFailure(RuntimeError):
-    """Raised when received code/data fails its integrity check."""
-
-    def __init__(self, what: str) -> None:
-        super().__init__(f"attestation failed for {what}")
-        self.what = what

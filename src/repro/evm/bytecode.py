@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import enum
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 
 class Opcode(enum.IntEnum):
@@ -119,6 +119,11 @@ class Program:
 
     def __len__(self) -> int:
         return len(self.instructions)
+
+    def __getstate__(self) -> dict:
+        # Pickles and copies carry the fields only, never the threaded
+        # code an interpreter caches on the instance for this process.
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     # ------------------------------------------------------------------
     # Wire format

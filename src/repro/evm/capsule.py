@@ -2,8 +2,9 @@
 
 A :class:`Capsule` wraps an encoded EVM program with a version number and an
 integrity digest.  Nodes keep a :class:`CapsuleStore`; installing a capsule
-verifies the digest, enforces monotone versions, charges ROM budget, and
-makes the program available to the local interpreter (registering words).
+verifies the digest, enforces monotone versions, decodes the program once,
+charges ROM budget, and makes the program available to the local
+interpreter (registering words).
 
 Dissemination is viral, Mate-style: the runtime rebroadcasts any capsule
 that was news to it, so new control laws proliferate through a Virtual
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 from repro.evm.bytecode import Program
@@ -35,7 +37,7 @@ class Capsule:
                    digest=_capsule_digest(blob))
 
     def program(self) -> Program:
-        return Program.decode(self.blob)
+        return _decode(self.blob)
 
     def verify(self) -> bool:
         return _capsule_digest(self.blob) == self.digest
@@ -56,6 +58,18 @@ def _capsule_digest(blob: bytes) -> bytes:
     return hashlib.sha256(blob).digest()[:8]
 
 
+@lru_cache(maxsize=256)
+def _decode(blob: bytes) -> Program:
+    """The one decode path, memoised per process by the blob's bytes.
+
+    Every store that installs the same bytes gets the same immutable
+    :class:`Program`, so the interpreter compiles it once for all of
+    them.  The key is the bytes, never the decoded value: ``PUSH 0.0``
+    and ``PUSH -0.0`` programs compare equal but encode apart.
+    """
+    return Program.decode(blob)
+
+
 class CapsuleInstallError(RuntimeError):
     """Raised when a capsule fails verification or does not fit ROM."""
 
@@ -68,6 +82,8 @@ class CapsuleStore:
         self.rom_bank = rom_bank
         self.on_install = on_install
         self._capsules: dict[str, Capsule] = {}
+        # Decoded once at install: jobs run the installed Program as is.
+        self._programs: dict[str, Program] = {}
         self.rejected_corrupt = 0
         self.rejected_stale = 0
 
@@ -95,6 +111,7 @@ class CapsuleStore:
         if capsule.version <= self.version_of(capsule.name):
             self.rejected_stale += 1
             return False
+        program = capsule.program()
         if self.rom_bank is not None:
             region = f"capsule:{capsule.name}"
             existing = self._capsules.get(capsule.name)
@@ -103,6 +120,7 @@ class CapsuleStore:
             else:
                 self.rom_bank.allocate(region, capsule.size_bytes)
         self._capsules[capsule.name] = capsule
+        self._programs[capsule.name] = program
         if self.on_install is not None:
             self.on_install(capsule)
         return True
@@ -111,6 +129,10 @@ class CapsuleStore:
         if name not in self._capsules:
             raise KeyError(f"no capsule {name!r} installed")
         return self._capsules[name]
+
+    def program(self, name: str) -> Program | None:
+        """The Program decoded when ``name`` was installed, or None."""
+        return self._programs.get(name)
 
     def names(self) -> list[str]:
         return sorted(self._capsules)

@@ -10,16 +10,17 @@ registered at runtime and invoked by ``WORD`` instructions, and *host hooks*
 bind ``HOST``/``IN``/``OUT`` to kernel, sensor and network operations.
 
 Dispatch is direct-threaded: each :class:`~repro.evm.bytecode.Program` is
-compiled once into a per-instruction list of ``(handler, arg)`` pairs built
-from a dispatch table, so the inner loop is "index, call" instead of a
-30-way opcode chain.  A **peephole pass** then rewrites slots of that
-threaded code with superinstructions -- ``PUSH c``+binop fusion, full
-constant folding of ``PUSH;PUSH;binop`` triples, ``DUP;DROP`` elimination,
-``STORE s;LOAD s`` write-through, ``LOAD;JZ`` fused branches and jump
-threading -- each accounting for the virtual steps it absorbs.  Slots
-covered by a pattern keep their original handlers as landing pads, so
-jumps into the middle of a fused pair behave exactly like the naive
-dispatcher.  Compile-time work (float coercion of PUSH literals,
+compiled once per process into a per-instruction list of ``(handler, arg)``
+pairs built from a dispatch table, so the inner loop is "index, call"
+instead of a 30-way opcode chain.  The code is kept on the program object
+and shared by every interpreter that runs it.  A **peephole pass** then
+rewrites slots of that threaded code with superinstructions --
+``PUSH c``+binop fusion, full constant folding of ``PUSH;PUSH;binop`` triples,
+``DUP;DROP`` elimination, ``STORE s;LOAD s`` write-through, ``LOAD;JZ``
+fused branches and jump threading -- each accounting for the virtual steps
+it absorbs.  Slots covered by a pattern keep their original handlers as
+landing pads, so jumps into the middle of a fused pair behave exactly like
+the naive dispatcher.  Compile-time work (float coercion of PUSH literals,
 jump-range validation, channel/host/word name resolution) is hoisted out of
 the loop, but every *runtime-visible* behaviour -- error strings, the
 program state at the moment an error is raised, step accounting including
@@ -753,7 +754,7 @@ def _optimize_code(program: Program, code: list[tuple]) -> list[tuple]:
 def _compile_program(program: Program) -> list[tuple]:
     """Translate ``program`` into its direct-threaded ``(handler, arg)``
     form.  Pure function of the (immutable) program, so the result is
-    cached per program object."""
+    cached per program object (see :func:`_threaded`)."""
     n = len(program.instructions)
     code: list[tuple] = []
     for ins in program.instructions:
@@ -786,6 +787,28 @@ def _compile_program(program: Program) -> list[tuple]:
     return code
 
 
+_THREADED_ATTR = "_threaded_code"
+
+
+def _threaded(program: Program) -> tuple[list[tuple], list[tuple]]:
+    """``(plain, fused)`` threaded code for ``program``, compiled on first
+    use and kept on the program object outside its dataclass fields.
+
+    It is shared by every interpreter in the process and dies with the
+    program.  The cache is per object, never per value: programs holding
+    ``PUSH 0.0`` and ``PUSH -0.0`` compare equal but compute different
+    outputs, so each compiles its own.
+    """
+    attrs = vars(program)
+    pair = attrs.get(_THREADED_ATTR)
+    if pair is None:
+        plain = _compile_program(program)
+        # setdefault: a racing thread's pair wins, so all callers share it.
+        pair = attrs.setdefault(_THREADED_ATTR,
+                                (plain, _optimize_code(program, plain)))
+    return pair
+
+
 class Interpreter:
     """Executes programs; owns the word and host-hook registries."""
 
@@ -799,10 +822,6 @@ class Interpreter:
         self._hosts: dict[str, Callable[["ExecutionContext"], None]] = {}
         self._channels_in: dict[str, Callable[[], float]] = {}
         self._channels_out: dict[str, Callable[[float], None]] = {}
-        # id(program) -> (program, plain threaded code, peephole-fused
-        # code).  The program reference pins the id, so keys can never
-        # alias a different live program.
-        self._compiled: dict[int, tuple[Program, list[tuple], list[tuple]]] = {}
         self.total_steps = 0
         # Metered at execute() granularity only -- the threaded-code
         # dispatch loop must never see a per-instruction hook.
@@ -832,29 +851,18 @@ class Interpreter:
         self._channels_out[channel] = fn
 
     # ------------------------------------------------------------------
-    # Compilation cache
+    # Compiled code
     # ------------------------------------------------------------------
-    def compiled(self, program: Program) -> list[tuple]:
-        """The production threaded code for ``program`` (peephole form)."""
-        return self.compiled_pair(program)[1]
-
     def compiled_pair(self, program: Program) -> tuple[list[tuple],
                                                        list[tuple]]:
-        """``(plain, fused)`` threaded code, compiled once and cached.
+        """``(plain, fused)`` threaded code, compiled once per program.
 
         ``plain`` is the cost-1-per-slot form the run loop falls back to
         near the step budget; ``fused`` is the peephole-optimized form
         (the same list when the pass finds nothing, or is disabled).
         """
-        entry = self._compiled.get(id(program))
-        if entry is not None and entry[0] is program:
-            return entry[1], entry[2]
-        if len(self._compiled) > 4096:  # capsule-upgrade churn backstop
-            self._compiled.clear()
-        plain = _compile_program(program)
-        fused = _optimize_code(program, plain) if self.peephole else plain
-        self._compiled[id(program)] = (program, plain, fused)
-        return plain, fused
+        pair = _threaded(program)
+        return pair if self.peephole else (pair[0], pair[0])
 
     # ------------------------------------------------------------------
     # Execution

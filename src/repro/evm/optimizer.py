@@ -68,9 +68,6 @@ class AssignmentResult:
     explored: int = 0
     method: str = ""
 
-    def node_of(self, task_name: str) -> str:
-        return self.placement[task_name]
-
 
 def evaluate(problem: AssignmentProblem,
              placement: dict[str, str]) -> float:

@@ -263,11 +263,7 @@ class EvmRuntime:
             }, len(chunk) + 12)
 
     def _on_capsule_installed(self, capsule: Capsule) -> None:
-        program = capsule.program()
-        if program.word_names or self.interpreter.has_word(program.name):
-            self.interpreter.register_word(program)
-        else:
-            self.interpreter.register_word(program)
+        self.interpreter.register_word(self.capsules.program(capsule.name))
 
     def configure_from_vc(self, head_id: str | None = None) -> None:
         """Instantiate this node's share of the VC's task table.
@@ -344,9 +340,6 @@ class EvmRuntime:
         self._record("evm.fault_injected", task=task_name, slot=slot,
                      value=value)
 
-    def clear_output_fault(self, task_name: str) -> None:
-        self.instances[task_name].forced_outputs.clear()
-
     # ------------------------------------------------------------------
     # Job execution
     # ------------------------------------------------------------------
@@ -378,10 +371,7 @@ class EvmRuntime:
                     binding(value)
 
     def _program_of(self, instance: HostedInstance) -> Program | None:
-        name = instance.logical.program_name
-        if not self.capsules.has(name):
-            return None
-        return self.capsules.get(name).program()
+        return self.capsules.program(instance.logical.program_name)
 
     def _drive_outputs(self, instance: HostedInstance) -> None:
         if instance.failsafe_engaged:

@@ -10,7 +10,7 @@ node actually runs it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.rtos.task import TaskSpec
 
@@ -63,7 +63,3 @@ class LogicalTask:
     @property
     def utilization(self) -> float:
         return self.wcet_ticks / self.period_ticks
-
-    def with_period(self, period_ticks: int) -> "LogicalTask":
-        """Re-rated copy (mode changes re-rate control loops)."""
-        return replace(self, period_ticks=period_ticks)

@@ -93,11 +93,6 @@ class VirtualComponent:
             self.members[node_id].healthy = False
             self.epoch += 1
 
-    def mark_healthy(self, node_id: str) -> None:
-        if node_id in self.members:
-            self.members[node_id].healthy = True
-            self.epoch += 1
-
     def elect_head(self) -> str:
         """Deterministic head election: lowest id among healthy members."""
         healthy = [m.node_id for m in self.members.values() if m.healthy]
@@ -166,13 +161,6 @@ class VirtualComponent:
     def active_controller(self, task_name: str) -> str:
         return self.assignments[task_name].primary
 
-    def hosts_of(self, task_name: str) -> list[str]:
-        return self.assignments[task_name].hosts
-
-    def tasks_on(self, node_id: str) -> list[str]:
-        return [name for name, a in self.assignments.items()
-                if node_id in a.hosts]
-
     # ------------------------------------------------------------------
     # Transfers
     # ------------------------------------------------------------------
@@ -181,10 +169,6 @@ class VirtualComponent:
 
     def health_assessments(self) -> list[HealthAssessment]:
         return [t for t in self.transfers if isinstance(t, HealthAssessment)]
-
-    def monitors_of(self, subject_node: str) -> list[HealthAssessment]:
-        return [t for t in self.health_assessments()
-                if t.subject == subject_node]
 
     # ------------------------------------------------------------------
     # Introspection

@@ -7,9 +7,9 @@ distributed campaign scrapeable from the ``python -m repro.obs serve``
 endpoint without the coordinator knowing anything about Prometheus.
 
 The bridge is deliberately one-directional and loss-tolerant: a dropped
-coordinator flips ``repro_dist_up`` to 0 and the bridge keeps
-redialling with a capped backoff until stopped, so a scrape target
-survives coordinator restarts.
+coordinator flips ``repro_dist_up`` to 0, counts the failure in
+``repro_dist_bridge_errors_total`` and keeps redialling with a capped
+backoff until stopped, so a scrape target survives coordinator restarts.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ __all__ = ["CoordinatorBridge"]
 
 _STAT_GAUGES = ("jobs_submitted", "jobs_completed", "jobs_failed",
                 "jobs_requeued", "workers_dropped", "workers_retired",
-                "results_ignored", "trace_dropped")
+                "results_ignored", "trace_dropped", "autoscale_errors")
 
 
 class CoordinatorBridge:
@@ -49,6 +49,9 @@ class CoordinatorBridge:
             "repro_dist_workers", "Connected workers")
         self._clients = registry.gauge(
             "repro_dist_clients", "Connected clients")
+        self._errors = registry.counter(
+            "repro_dist_bridge_errors_total",
+            "Dials and subscriptions the bridge lost to an error")
         # Fleet-health gauges share the DistMeters bundle so an
         # in-process dist_meters() caller resolves the same series.
         from repro.obs.instrument import DistMeters
@@ -103,7 +106,7 @@ class CoordinatorBridge:
                     self._apply(header.get("status") or {})
                     self.updates_received += 1
             except Exception:  # noqa: BLE001 - any wire fault => redial
-                pass
+                self._errors.inc()
             finally:
                 if sock is not None:
                     try:

@@ -23,6 +23,7 @@ from repro.dist.autoscale import (
     parse_autoscale,
 )
 from repro.dist.cluster import sleepy_echo
+from repro.dist.coordinator import Coordinator
 
 
 def _status(pending=0, workers=(), p95=0.0):
@@ -179,6 +180,31 @@ def test_parse_autoscale():
     for bad in ("6:2", "-1:4", "3", "a:b", ":", "2:"):
         with pytest.raises(ValueError):
             parse_autoscale(bad)
+
+
+class _FailingDriver:
+    def scale_up(self, n):
+        raise RuntimeError("spawn failed")
+
+    def scale_down(self, n):
+        raise RuntimeError("retire failed")
+
+
+def test_failing_tick_is_counted_and_the_timer_keeps_ticking():
+    """A driver action that raises is counted in the broker's stats;
+    the evaluation timer survives it and ticks again."""
+    policy = AutoscalePolicy(min_workers=1, max_workers=2,
+                             up_cooldown_sec=0.0)
+    with Coordinator() as coordinator:
+        scaler = coordinator.set_autoscaler(policy, _FailingDriver(),
+                                            period=0.05)
+        _wait_until(lambda: coordinator.stats.autoscale_errors >= 3,
+                    what="counted autoscale errors")
+        ticks = scaler.ticks
+        _wait_until(lambda: scaler.ticks > ticks, what="a later tick")
+        stats = coordinator.status()["stats"]
+        assert isinstance(stats["autoscale_errors"], int)
+        assert stats["autoscale_errors"] >= 3
 
 
 # ----------------------------------------------------------------------

@@ -6,6 +6,7 @@ per-campaign progress/rate/ETA), the ``status --follow`` CLI line
 formatter, and the obs bridge that mirrors the stream into gauges.
 """
 
+import socket
 import subprocess
 import sys
 import time
@@ -214,6 +215,28 @@ class TestCoordinatorBridge:
             time.sleep(0.3)
         assert registry.values()["=repro_dist_up"] == 0.0
         assert bridge.updates_received == 0
+
+    def test_bridge_counts_failed_dials_and_still_stops(self):
+        from repro.obs import MetricsRegistry
+        from repro.obs.bridge import CoordinatorBridge
+
+        listener = socket.socket()
+        listener.bind(("127.0.0.1", 0))
+        port = listener.getsockname()[1]
+        listener.close()  # nothing listens on the port any more
+        registry = MetricsRegistry()
+        bridge = CoordinatorBridge(registry, f"127.0.0.1:{port}",
+                                   period=0.1, redial_max=0.05).start()
+        deadline = time.monotonic() + 10.0
+        # Each dial retries for 2 s before it fails.
+        while (registry.values()["repro_dist_bridge_errors_total"] < 1
+               and time.monotonic() < deadline):
+            time.sleep(0.02)
+        thread = bridge._thread
+        bridge.stop()
+        assert not thread.is_alive()
+        assert registry.values()["repro_dist_bridge_errors_total"] >= 1
+        assert registry.values()["=repro_dist_up"] == 0.0
 
 
 class TestSettledCampaignPinsItsClock:

@@ -235,6 +235,25 @@ class TestPassMechanics:
         plain, fused = Interpreter(peephole=False).compiled_pair(program)
         assert plain is fused
 
+    def test_code_shared_per_program_whichever_interpreter_asks(self):
+        """The compiled code is shared by every interpreter, but the
+        reference interpreter still sees only the plain form, in either
+        order of first use."""
+        source = "push 1\npush 2\nadd\nhalt"
+        program = _asm.assemble(source, name="p")
+        plain, fused = Interpreter().compiled_pair(program)
+        assert plain is not fused
+        assert Interpreter().compiled_pair(program) == (plain, fused)
+        assert Interpreter().compiled_pair(program)[1] is fused
+        off = Interpreter(peephole=False).compiled_pair(program)
+        assert off[0] is off[1] is plain
+
+        program = _asm.assemble(source, name="p")
+        off = Interpreter(peephole=False).compiled_pair(program)
+        assert off[0] is off[1]
+        plain, fused = Interpreter().compiled_pair(program)
+        assert plain is off[0] and fused is not plain
+
     def test_optimize_code_is_pure(self):
         program = _asm.assemble("push 1\npush 2\nadd\nhalt", name="p")
         from repro.evm.interpreter import _compile_program
