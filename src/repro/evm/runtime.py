@@ -66,35 +66,6 @@ class StateSharingPolicy:
 
 
 @dataclass
-class FloodDiscipline:
-    """Duplicate-suppression policy for the VC's broadcast traffic.
-
-    On a wide mesh every broadcast arrives at every runtime once per
-    flood, and viral capsule dissemination makes each adopter a fresh
-    flood origin -- the dense-neighborhood storm.  The discipline bounds
-    that without changing what any runtime ultimately applies:
-
-    - ``capsule_fanout_bound``: a freshly adopted capsule is *not*
-      re-disseminated when fragments for it were already heard from at
-      least this many distinct spreaders (the neighborhood is already
-      covered).  ``0`` keeps unbounded viral spread.
-    - ``state_stale_drop``: drop passive-sharing snapshots whose job
-      counter does not advance on what this backup last applied
-      (re-ordered or duplicated flood copies).
-    - ``mode_dedup``: apply each exact mode-change broadcast once,
-      keyed by (task, epoch, primary, modes) -- re-applies are
-      idempotent, so this only saves the bookkeeping work.
-
-    The default-constructed discipline disables everything, preserving
-    earlier behavior bit for bit.
-    """
-
-    capsule_fanout_bound: int = 0
-    state_stale_drop: bool = False
-    mode_dedup: bool = False
-
-
-@dataclass
 class RuntimeStats:
     """Counters the experiments and benchmarks read."""
 
@@ -177,7 +148,7 @@ class EvmRuntime:
         arbitration_holdoff_ticks: int = 0,
         housekeeping_period_ticks: int = 100 * MS,
         evm_priority: int = 0,
-        flood_discipline: FloodDiscipline | None = None,
+        flood_suppress_threshold: int = 0,
     ) -> None:
         self.kernel = kernel
         self.engine = kernel.engine
@@ -186,7 +157,18 @@ class EvmRuntime:
         self.trace = trace
         self.policy = failover_policy or FailoverPolicy()
         self.state_sharing = state_sharing or StateSharingPolicy()
-        self.flood = flood_discipline or FloodDiscipline()
+        # Bounds the VC's broadcast storm on dense meshes, where every
+        # broadcast reaches every runtime once per flood and each capsule
+        # adopter becomes a fresh flood origin.  0 (the default) keeps
+        # every mechanism off, bit for bit; N > 0 turns all three on:
+        # - a freshly adopted capsule is not re-disseminated once its
+        #   fragments were heard from N distinct spreaders;
+        # - passive-sharing snapshots whose job counter does not advance
+        #   on the last one applied (re-ordered or duplicated flood
+        #   copies) are dropped;
+        # - each exact mode-change broadcast is applied once (re-applies
+        #   are idempotent, so this only saves bookkeeping).
+        self.flood_suppress_threshold = flood_suppress_threshold
         self.arbitration_holdoff_ticks = arbitration_holdoff_ticks
         self.stats = RuntimeStats()
         self.interpreter = Interpreter()
@@ -195,7 +177,7 @@ class EvmRuntime:
         self.instances: dict[str, HostedInstance] = {}
         self.monitors: list[_MonitorState] = []
         self._capsule_buffers: dict[tuple, dict[int, bytes]] = {}
-        # Flood-discipline caches: spreaders heard per capsule version,
+        # Flood-suppression caches: spreaders heard per capsule version,
         # last snapshot job counter applied per (src, task), and the set
         # of mode broadcasts already applied.
         self._capsule_sources: dict[tuple, set[str]] = {}
@@ -548,7 +530,7 @@ class EvmRuntime:
                                                   (packet.src, 0))
         if packet.src != primary:
             return
-        if self.flood.state_stale_drop:
+        if self.flood_suppress_threshold:
             key = (packet.src, payload["task"])
             if payload["jobs"] <= self._snapshot_seq.get(key, -1):
                 self.stats.snapshots_stale_dropped += 1
@@ -689,7 +671,7 @@ class EvmRuntime:
 
     def _apply_mode_change(self, payload: dict) -> None:
         task_name = payload["task"]
-        if self.flood.mode_dedup:
+        if self.flood_suppress_threshold:
             # Re-applying an identical mode broadcast is idempotent; the
             # applied-set just skips the redundant bookkeeping (relayed
             # flood copies on dense meshes).
@@ -740,7 +722,7 @@ class EvmRuntime:
     # -- capsules / membership / halt -------------------------------------
     def _on_capsule(self, packet: Packet) -> None:
         capsule: Capsule = packet.payload
-        if self.flood.capsule_fanout_bound:
+        if self.flood_suppress_threshold:
             self._capsule_sources.setdefault(
                 (capsule.name, capsule.version), set()).add(packet.src)
         self._adopt_capsule(capsule)
@@ -750,7 +732,7 @@ class EvmRuntime:
         key = (payload["name"], payload["version"])
         if self.capsules.has(payload["name"], payload["version"]):
             return  # already current; ignore the re-broadcast storm
-        if self.flood.capsule_fanout_bound:
+        if self.flood_suppress_threshold:
             self._capsule_sources.setdefault(key, set()).add(packet.src)
         buffer = self._capsule_buffers.setdefault(key, {})
         buffer[payload["index"]] = payload["chunk"]
@@ -775,7 +757,7 @@ class EvmRuntime:
             # distinct spreaders were already heard pushing this exact
             # version, in which case the neighborhood is covered and one
             # more flood origin only adds to the storm.
-            bound = self.flood.capsule_fanout_bound
+            bound = self.flood_suppress_threshold
             heard = self._capsule_sources.pop(
                 (capsule.name, capsule.version), ())
             if bound and len(heard) >= bound:

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from repro.sim.clock import MS
-
 MCU_SLEEP_CURRENT_A = 10e-6
 """Deep-sleep MCU floor added when projecting member-node lifetimes."""
 
@@ -40,10 +38,6 @@ def percentile(values: list[float], p: float) -> float:
     rank = max(0, min(len(ordered) - 1,
                       int(round(p / 100.0 * (len(ordered) - 1)))))
     return ordered[rank]
-
-
-def ticks_to_ms(values: list[int]) -> list[float]:
-    return [v / MS for v in values]
 
 
 def settling_time_sec(times_sec: list[float], series: list[float],

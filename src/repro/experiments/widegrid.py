@@ -46,7 +46,7 @@ from repro.evm.optimizer import (
     bqp_assign,
     greedy_assign,
 )
-from repro.evm.runtime import EvmRuntime, FloodDiscipline
+from repro.evm.runtime import EvmRuntime
 from repro.evm.tasks import LogicalTask
 from repro.evm.virtual_component import VcMember, VirtualComponent
 from repro.experiments.metrics import project_node_energy
@@ -313,10 +313,6 @@ class WideGridRig:
                     compile_passthrough("grid_ctrl_law", gain=CTRL_GAIN),
                     compile_passthrough("grid_act_law", gain=1.0)]
         suppress_threshold, _ = cfg.flood_suppression()
-        discipline = (FloodDiscipline(
-            capsule_fanout_bound=suppress_threshold,
-            state_stale_drop=True, mode_dedup=True)
-            if suppress_threshold else None)
         self.kernels: dict[str, NanoRK] = {}
         self.runtimes: dict[str, EvmRuntime] = {}
         for node_id in sorted(self.topology.node_ids):
@@ -332,7 +328,7 @@ class WideGridRig:
                 failover_policy=FailoverPolicy(
                     detection_threshold=cfg.detection_threshold,
                     dormant_delay_ticks=60 * SEC),
-                flood_discipline=discipline)
+                flood_suppress_threshold=suppress_threshold)
             for program in programs:
                 runtime.install_capsule(Capsule.from_program(program, 1))
             runtime.configure_from_vc(head_id=self.head)

@@ -85,10 +85,6 @@ class Battery:
     def depleted(self) -> bool:
         return self.charge_drawn >= self.spec.capacity_coulombs
 
-    @property
-    def energy_consumed_joules(self) -> float:
-        return self.charge_drawn * self.spec.nominal_voltage
-
     def average_current_a(self) -> float:
         """Mean current since construction (0 if no time has elapsed)."""
         elapsed_ticks = self.engine.now - self._start_time

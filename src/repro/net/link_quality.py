@@ -1,10 +1,15 @@
 """Per-link packet-reception models.
 
 The medium asks the link-quality model one question per (link, frame):
-did this frame survive the channel?  Two implementations:
+did this frame survive the channel?  Every model answers through the same
+pair of link-aware calls, :meth:`LinkQualityModel.frame_survives` and
+:meth:`LinkQualityModel.expected_prr`, which name the sending and
+receiving node.  Implementations:
 
 - :class:`PerfectLinks` -- every in-range frame survives (unit tests,
   protocol-logic experiments);
+- :class:`FixedPrr` -- uniform i.i.d. loss at a fixed ratio;
+- :class:`DegradedLinks` -- a fault-injection wrapper over another model;
 - :class:`PathLossModel` -- log-distance path loss mapped to a packet
   reception ratio via a logistic curve, the standard low-power-wireless
   abstraction; good links saturate near ``prr_ceiling``.
@@ -17,43 +22,32 @@ import random
 
 
 class LinkQualityModel:
-    """Interface: decide per-frame survival for a directed link."""
+    """Interface: decide per-frame survival for a directed link.
 
-    def frame_survives(self, distance_m: float, size_bytes: int,
-                       rng: random.Random) -> bool:
+    Both calls name the link's endpoints.  Models that treat every link
+    alike ignore them; wrappers such as :class:`DegradedLinks` use them to
+    target specific links.
+    """
+
+    def frame_survives(self, sender: str, receiver: str, distance_m: float,
+                       size_bytes: int, rng: random.Random) -> bool:
         raise NotImplementedError
 
-    def frame_survives_link(self, sender: str, receiver: str,
-                            distance_m: float, size_bytes: int,
-                            rng: random.Random) -> bool:
-        """Link-identity-aware survival; defaults to :meth:`frame_survives`.
-
-        The medium always calls this entry point.  Models that treat every
-        link alike ignore the endpoint ids; wrappers such as
-        :class:`DegradedLinks` use them to target specific links.
-        """
-        return self.frame_survives(distance_m, size_bytes, rng)
-
-    def expected_prr(self, distance_m: float, size_bytes: int = 32) -> float:
+    def expected_prr(self, sender: str, receiver: str, distance_m: float,
+                     size_bytes: int = 32) -> float:
         """Expected packet reception ratio (diagnostics/benchmarks)."""
         raise NotImplementedError
-
-    def expected_prr_link(self, sender: str, receiver: str,
-                          distance_m: float, size_bytes: int = 32) -> float:
-        """Link-identity-aware expected PRR; defaults to
-        :meth:`expected_prr`.  Diagnostics that know which link they ask
-        about should use this so per-link wrappers are visible."""
-        return self.expected_prr(distance_m, size_bytes)
 
 
 class PerfectLinks(LinkQualityModel):
     """All in-range frames survive; range is enforced by the topology."""
 
-    def frame_survives(self, distance_m: float, size_bytes: int,
-                       rng: random.Random) -> bool:
+    def frame_survives(self, sender: str, receiver: str, distance_m: float,
+                       size_bytes: int, rng: random.Random) -> bool:
         return True
 
-    def expected_prr(self, distance_m: float, size_bytes: int = 32) -> float:
+    def expected_prr(self, sender: str, receiver: str, distance_m: float,
+                     size_bytes: int = 32) -> float:
         return 1.0
 
 
@@ -65,11 +59,12 @@ class FixedPrr(LinkQualityModel):
             raise ValueError(f"PRR must be in [0,1], got {prr}")
         self.prr = prr
 
-    def frame_survives(self, distance_m: float, size_bytes: int,
-                       rng: random.Random) -> bool:
+    def frame_survives(self, sender: str, receiver: str, distance_m: float,
+                       size_bytes: int, rng: random.Random) -> bool:
         return rng.random() < self.prr
 
-    def expected_prr(self, distance_m: float, size_bytes: int = 32) -> float:
+    def expected_prr(self, sender: str, receiver: str, distance_m: float,
+                     size_bytes: int = 32) -> float:
         return self.prr
 
 
@@ -82,12 +77,6 @@ class DegradedLinks(LinkQualityModel):
     wrapper stays installed when the fault window closes -- reverting just
     flips :attr:`active` -- so overlapping fault windows restore cleanly in
     any order.
-
-    Targeted (``links``-scoped) degradation is only visible through the
-    link-aware entry points (``frame_survives_link`` -- which the medium
-    always uses -- and ``expected_prr_link``); the legacy link-unaware
-    ``frame_survives``/``expected_prr`` cannot know the endpoints and
-    report the base model's behavior.
     """
 
     def __init__(self, base: LinkQualityModel, prr: float,
@@ -107,32 +96,18 @@ class DegradedLinks(LinkQualityModel):
             return True
         return frozenset((sender, receiver)) in self.links
 
-    def frame_survives(self, distance_m: float, size_bytes: int,
-                       rng: random.Random) -> bool:
-        survives = self.base.frame_survives(distance_m, size_bytes, rng)
-        if self.active and self.links is None:
-            return survives and rng.random() < self.prr
-        return survives
-
-    def frame_survives_link(self, sender: str, receiver: str,
-                            distance_m: float, size_bytes: int,
-                            rng: random.Random) -> bool:
-        survives = self.base.frame_survives_link(
+    def frame_survives(self, sender: str, receiver: str, distance_m: float,
+                       size_bytes: int, rng: random.Random) -> bool:
+        survives = self.base.frame_survives(
             sender, receiver, distance_m, size_bytes, rng)
         if self._degrades(sender, receiver):
             return survives and rng.random() < self.prr
         return survives
 
-    def expected_prr(self, distance_m: float, size_bytes: int = 32) -> float:
-        base = self.base.expected_prr(distance_m, size_bytes)
-        if self.active and self.links is None:
-            return base * self.prr
-        return base
-
-    def expected_prr_link(self, sender: str, receiver: str,
-                          distance_m: float, size_bytes: int = 32) -> float:
-        base = self.base.expected_prr_link(sender, receiver, distance_m,
-                                           size_bytes)
+    def expected_prr(self, sender: str, receiver: str, distance_m: float,
+                     size_bytes: int = 32) -> float:
+        base = self.base.expected_prr(sender, receiver, distance_m,
+                                      size_bytes)
         if self._degrades(sender, receiver):
             return base * self.prr
         return base
@@ -174,12 +149,13 @@ class PathLossModel(LinkQualityModel):
         p = 1.0 / (1.0 + math.exp(-1.2 * margin_db))
         return min(self.prr_ceiling ** (1.0 / 64.0), p)
 
-    def expected_prr(self, distance_m: float, size_bytes: int = 32) -> float:
+    def expected_prr(self, sender: str, receiver: str, distance_m: float,
+                     size_bytes: int = 32) -> float:
         margin = self._margin_db(distance_m)
         return self._byte_success(margin) ** max(1, size_bytes)
 
-    def frame_survives(self, distance_m: float, size_bytes: int,
-                       rng: random.Random) -> bool:
+    def frame_survives(self, sender: str, receiver: str, distance_m: float,
+                       size_bytes: int, rng: random.Random) -> bool:
         margin = self._margin_db(distance_m)
         if self.shadowing_std_db > 0:
             margin += rng.gauss(0.0, self.shadowing_std_db)

@@ -30,11 +30,6 @@ class MacStats:
     queue_drops: int = 0
     delivery_latencies: list[int] = field(default_factory=list)
 
-    def mean_latency(self) -> float:
-        if not self.delivery_latencies:
-            return 0.0
-        return sum(self.delivery_latencies) / len(self.delivery_latencies)
-
     def max_latency(self) -> int:
         return max(self.delivery_latencies, default=0)
 

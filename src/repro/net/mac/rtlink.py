@@ -170,28 +170,6 @@ class RtLinkMac(MacProtocol):
     # ------------------------------------------------------------------
     # Slot engine
     # ------------------------------------------------------------------
-    def _my_slot_kind(self, slot_index: int) -> str | None:
-        if self.schedule.transmitter(slot_index) == self.node_id:
-            return "tx"
-        if self.node_id in self.schedule.listeners(slot_index):
-            return "rx"
-        return None
-
-    def _next_interesting_slot(self, from_slot: int) -> tuple[int, str] | None:
-        """(absolute slot number, kind) of the next slot >= ``from_slot``
-        this node works.
-
-        Reference walker: one whole-frame scan per call.  The live loop
-        uses the O(log n) :class:`SlotWheel` calendar instead; this stays
-        as the executable specification the property tests hold the wheel
-        to."""
-        for abs_slot in range(from_slot,
-                              from_slot + self.config.slots_per_frame):
-            kind = self._my_slot_kind(abs_slot % self.config.slots_per_frame)
-            if kind is not None:
-                return abs_slot, kind
-        return None
-
     def _calendar(self) -> SlotWheel:
         """The node's slot wheel, rebuilt iff the schedule version moved."""
         wheel = self._wheel

@@ -10,20 +10,24 @@ MAC protocols attach through a :class:`MediumPort`, which couples frame
 transfer to the node's radio power state (frames are only heard in RX, and
 transmitting drives the TX state for the full airtime).
 
+A medium serves the topology it was built over: every index below is
+derived from that topology once and never rebuilt, and a later structural
+mutation (a ``Topology.version`` bump) makes the next transmission or
+carrier sense raise instead of serving stale caches.
+
 The hot paths are indexed rather than scanned:
 
 - per-receiver **audible-sender sets** (and per-sender neighbor tuples) are
-  precomputed from the topology and invalidated by its ``version`` counter;
+  computed once from the topology;
 - ``_active`` is a start-time-ordered deque pruned incrementally from the
   front (engine time is monotone, so appends arrive in order);
 - a per-node ``busy_until`` horizon makes :meth:`MediumPort.channel_busy`
   a single dict lookup instead of a scan over all in-flight frames;
 - end-of-frame resolution is **batched**: completion resolves all receivers
   in one pass over a prebuilt per-sender ``(port, node, distance, audible)``
-  row list (cached against ``Topology.version`` and invalidated by
-  :meth:`Medium.attach`), with the temporal overlap window computed once
-  per completion instead of once per receiver, and stats counters
-  accumulated in locals and flushed once.
+  row list (invalidated by :meth:`Medium.attach`), with the temporal
+  overlap window computed once per completion instead of once per
+  receiver, and stats counters accumulated in locals and flushed once.
 """
 
 from __future__ import annotations
@@ -122,14 +126,14 @@ class Medium:
         self._ports: dict[str, MediumPort] = {}
         # Ordered by (non-decreasing) start time; pruned from the front.
         self._active: deque[_Transmission] = deque()
-        # Topology-derived indexes, rebuilt when topology.version moves.
+        # Topology-derived indexes, valid for this topology version only.
         self._topo_version = topology.version
         self._neighbor_tuples: dict[str, tuple[str, ...]] = {}
         self._audible_sets: dict[str, frozenset[str]] = {}
         self._busy_until: dict[str, int] = {}
         # Per-sender receiver rows: (port, node, receiver_id, distance,
         # audible-set) for every *attached* neighbor, in topology insertion
-        # order.  Invalidated by topology bumps and by attach().
+        # order.  Invalidated by attach().
         self._receiver_rows: dict[
             str, tuple[tuple[MediumPort, FireFlyNode, str, float,
                              frozenset[str]], ...]] = {}
@@ -165,48 +169,10 @@ class Medium:
     # ------------------------------------------------------------------
     def _check_indexes(self) -> None:
         if self._topo_version != self.topology.version:
-            self._rebuild_indexes()
-            # Full verification only on the (rare) rebuild edge; stripped
-            # under -O.  Guards against a future rebuild that tries to
-            # preserve cache entries and leaves stale keys behind.
-            assert self.check_indexes_consistent()
-
-    def _rebuild_indexes(self) -> None:
-        """Invalidate neighbor caches and recompute carrier-sense horizons
-        for the frames still in flight under the *new* topology."""
-        self._topo_version = self.topology.version
-        self._neighbor_tuples.clear()
-        self._audible_sets.clear()
-        self._busy_until.clear()
-        self._receiver_rows.clear()
-        now = self.engine.now
-        for tx in self._active:
-            if tx.end > now:
-                self._raise_busy_horizons(tx.sender, tx.end)
-
-    def check_indexes_consistent(self) -> bool:
-        """True iff every cached index entry matches a fresh computation
-        from the current topology and no stale (evicted-topology) keys
-        remain.  O(cache size); used by the rebuild assert and tests."""
-        topology = self.topology
-        if self._topo_version != topology.version:
-            return False
-        for sender, cached in self._neighbor_tuples.items():
-            if cached != tuple(topology.neighbors(sender)):
-                return False
-        for receiver, cached in self._audible_sets.items():
-            if cached != frozenset(topology.neighbors(receiver)):
-                return False
-        for sender, rows in self._receiver_rows.items():
-            expected = [rid for rid in topology.neighbors(sender)
-                        if rid in self._ports]
-            if [row[2] for row in rows] != expected:
-                return False
-            if any(row[3] != topology.distance(sender, row[2])
-                   or row[4] != frozenset(topology.neighbors(row[2]))
-                   for row in rows):
-                return False
-        return True
+            raise RuntimeError(
+                "topology changed after the medium was built over it "
+                f"(version {self._topo_version} -> {self.topology.version}); "
+                "build a new Medium over the finished topology")
 
     def _neighbors_of(self, sender: str) -> tuple[str, ...]:
         """Audible receivers of ``sender``, in topology insertion order
@@ -306,7 +272,7 @@ class Medium:
                 overlap.append(other.sender)
         packet = tx.packet
         on_air = packet.on_air_bytes
-        survives = self.link_model.frame_survives_link
+        survives = self.link_model.frame_survives
         rng = self.rng
         trace = self.trace
         traced = self.trace_enabled
@@ -377,5 +343,5 @@ class Medium:
 
     def _channel_busy(self, node_id: str) -> bool:
         if self._topo_version != self.topology.version:
-            self._rebuild_indexes()
+            self._check_indexes()  # raises
         return self._busy_until.get(node_id, 0) > self.engine.clock._now

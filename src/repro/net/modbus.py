@@ -70,9 +70,6 @@ class ProcessImage:
             raise KeyError(f"undefined register {address}")
         return self._specs[address]
 
-    def addresses(self) -> list[int]:
-        return sorted(self._specs)
-
     def read(self, address: int) -> float:
         return self.spec(address).decode(self._raw[address])
 
@@ -85,12 +82,6 @@ class ProcessImage:
         self._raw[address] = spec.encode(value)
         for hook in self._write_hooks:
             hook(address, self.read(address))
-
-    def write_raw(self, address: int, raw: int) -> None:
-        self.spec(address)
-        if not RAW_MIN <= raw <= RAW_MAX:
-            raise ValueError(f"raw value {raw} out of 16-bit range")
-        self._raw[address] = raw
 
     def on_write(self, hook: Callable[[int, float], None]) -> None:
         """Observe every write (HIL bridge pushes actuator writes to plant)."""

@@ -56,12 +56,6 @@ class Packet:
     def is_broadcast(self) -> bool:
         return self.dst == BROADCAST
 
-    def forward_copy(self, new_src: str) -> "Packet":
-        """A copy re-sourced for multi-hop forwarding (hop count bumped)."""
-        return Packet(src=new_src, dst=self.dst, kind=self.kind,
-                      payload=self.payload, size_bytes=self.size_bytes,
-                      created_at=self.created_at, hops=self.hops + 1)
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"Packet(#{self.seq} {self.kind} {self.src}->{self.dst} "
                 f"{self.size_bytes}B)")

@@ -25,9 +25,10 @@ class Topology:
     added again goes to the end.  The medium resolves receivers in this
     order, so it is part of every simulated result.
 
-    ``version`` increments on every structural mutation; consumers that
-    index the graph (the medium's audible-sender sets, carrier-sense
-    horizons) compare it to invalidate their caches in O(1).
+    ``version`` increments on every structural mutation.  Build the graph
+    first, then the medium: a :class:`~repro.net.medium.Medium` indexes
+    the topology it was built over and raises on its next transmission
+    or carrier sense once ``version`` has moved.
     """
 
     def __init__(self) -> None:

@@ -112,9 +112,6 @@ class Composition:
     def __getitem__(self, formula: str) -> float:
         return self.fractions[SPECIES_INDEX[formula]]
 
-    def as_dict(self) -> dict[str, float]:
-        return {s.formula: f for s, f in zip(SPECIES, self.fractions)}
-
     def molar_mass(self) -> float:
         return sum(s.molar_mass * f
                    for s, f in zip(SPECIES, self.fractions))

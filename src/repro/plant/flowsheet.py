@@ -94,9 +94,6 @@ class Flowsheet:
     def sensor_names(self) -> list[str]:
         return sorted(self._sensors)
 
-    def actuator_names(self) -> list[str]:
-        return sorted(self._actuators)
-
     # ------------------------------------------------------------------
     def _compiled_steps(self) -> tuple[Callable[[float], None], ...]:
         if self.backend == "py":

@@ -16,9 +16,6 @@ class Mixer(ProcessUnit):
         self.outlet_port = StreamPort()
         self.outlet = Stream.empty()
 
-    def add_inlet(self, source: StreamSource) -> None:
-        self.inlets.append(source)
-
     @property
     def outlet(self) -> Stream:
         return self.outlet_port.get()

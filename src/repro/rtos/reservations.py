@@ -9,8 +9,6 @@ re-balances a Virtual Component.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 
 class ReservationError(ValueError):
     """Raised for malformed reservation parameters."""

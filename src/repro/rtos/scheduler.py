@@ -283,13 +283,6 @@ class Scheduler:
         job.tcb.state = TaskState.READY
         heapq.heappush(self._ready, (job.sort_key(), job))
 
-    def _pop_ready(self) -> Job | None:
-        while self._ready:
-            _key, job = heapq.heappop(self._ready)
-            if not job.cancelled:
-                return job
-        return None
-
     def _peek_ready(self) -> Job | None:
         while self._ready:
             _key, job = self._ready[0]

@@ -82,9 +82,6 @@ class Scenario:
     def sorted_schedule(self) -> list[ScheduledFault]:
         return sorted(self.schedule, key=lambda item: item.at_sec)
 
-    def first_fault_sec(self) -> float | None:
-        return min((item.at_sec for item in self.schedule), default=None)
-
     # ------------------------------------------------------------------
     # Serialization (results store)
     # ------------------------------------------------------------------

@@ -213,22 +213,6 @@ class ResultsStore:
         shutil.rmtree(self._staging_dir)
         return len(stale)
 
-    def clear_runs(self) -> int:
-        """Delete all persisted run records (fresh campaign into a reused
-        directory); returns how many were removed."""
-        stale = list(self.runs_dir.glob("*.json"))
-        for path in stale:
-            path.unlink()
-        return len(stale)
-
-    def save_run(self, run_id: str, record: dict[str, Any]) -> Path:
-        path = self.runs_dir / f"{run_id}.json"
-        path.write_text(json.dumps(record, indent=2, sort_keys=True))
-        return path
-
-    def load_run(self, run_id: str) -> dict[str, Any]:
-        return json.loads((self.runs_dir / f"{run_id}.json").read_text())
-
     def load_runs(self) -> list[dict[str, Any]]:
         return [json.loads(path.read_text())
                 for path in sorted(self.runs_dir.glob("*.json"))]

@@ -14,9 +14,8 @@ Public surface:
   :data:`~repro.sim.clock.SEC`)
 - :class:`~repro.sim.engine.Engine` -- the event loop
 - :class:`~repro.sim.engine.EventHandle` -- cancellation token
-- :class:`~repro.sim.process.Process`, :class:`~repro.sim.process.Delay`,
-  :class:`~repro.sim.process.WaitSignal` -- generator-style processes
-- :class:`~repro.sim.process.Signal` -- waitable broadcast event
+- :class:`~repro.sim.process.Process`, :class:`~repro.sim.process.Delay` --
+  generator-style processes that wait only on time
 - :class:`~repro.sim.rng.RngRegistry` -- named deterministic random streams
 - :class:`~repro.sim.trace.Trace` / :class:`~repro.sim.trace.TraceEvent` --
   structured event recording used by experiments and tests
@@ -24,7 +23,7 @@ Public surface:
 
 from repro.sim.clock import MS, SEC, US, SimClock, format_time
 from repro.sim.engine import Engine, EventHandle, SimulationError
-from repro.sim.process import Delay, Process, Signal, WaitSignal
+from repro.sim.process import Delay, Process
 from repro.sim.rng import RngRegistry
 from repro.sim.trace import Trace, TraceEvent
 
@@ -39,8 +38,6 @@ __all__ = [
     "SimulationError",
     "Process",
     "Delay",
-    "Signal",
-    "WaitSignal",
     "RngRegistry",
     "Trace",
     "TraceEvent",

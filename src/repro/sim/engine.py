@@ -6,17 +6,18 @@ order)`` -- a deterministic tie-break that higher layers rely on (e.g. the
 RTOS releases jobs *before* the scheduler decision event in the same tick by
 scheduling the release with a lower priority number).
 
-Two scheduling paths share the queue:
+Two scheduling calls share the queue:
 
-- :meth:`Engine.schedule` / :meth:`Engine.schedule_at` return an
-  :class:`EventHandle` for callers that may cancel the event;
-- :meth:`Engine.post` / :meth:`Engine.post_at` are the allocation-free
-  fast path for fire-and-forget events (no handle object at all) -- the
-  overwhelmingly common case on the hot paths (frame completions, plant
-  steps, periodic samplers).
+- :meth:`Engine.schedule` returns an :class:`EventHandle` for callers that
+  may cancel the event;
+- :meth:`Engine.post` is the allocation-free fast path for fire-and-forget
+  events (no handle object at all) -- the overwhelmingly common case on the
+  hot paths (frame completions, plant steps, periodic samplers).
 
-Both paths dispatch identically; the sequence number keeps the total
-order exactly as if every event had gone through ``schedule``.
+Both dispatch identically; the sequence number keeps the total order
+exactly as if every event had gone through ``schedule``.  Events run
+through :meth:`Engine.run` (drain the queue) or :meth:`Engine.run_until`
+(stop at a time horizon).
 
 Callers that *rarely* cancel should not pay for ``schedule`` either: the
 idiom used by :class:`~repro.sim.process.Process` and the RTOS periodic
@@ -125,26 +126,6 @@ class Engine:
                                 callback, args))
         return handle
 
-    def schedule_at(
-        self,
-        when: int,
-        callback: Callable[..., Any],
-        *args: Any,
-        priority: int = 0,
-    ) -> EventHandle:
-        """Schedule ``callback(*args)`` at absolute time ``when``."""
-        if when < self.clock.now:
-            raise SimulationError(
-                f"cannot schedule at {format_time(when)}, now is "
-                f"{format_time(self.clock.now)}"
-            )
-        handle = EventHandle(when, callback, args, self)
-        self._seq += 1
-        self._live += 1
-        _heappush(self._queue, (when, priority, self._seq, handle,
-                                callback, args))
-        return handle
-
     def post(
         self,
         delay: int,
@@ -165,24 +146,6 @@ class Engine:
         # delay >= 0 makes `when` >= now by construction; no re-check.
         _heappush(self._queue, (self.clock._now + delay, priority, self._seq,
                                 None, callback, args))
-
-    def post_at(
-        self,
-        when: int,
-        callback: Callable[..., Any],
-        *args: Any,
-        priority: int = 0,
-    ) -> None:
-        """Fire-and-forget :meth:`schedule_at` (see :meth:`post`)."""
-        if when < self.clock.now:
-            raise SimulationError(
-                f"cannot schedule at {format_time(when)}, now is "
-                f"{format_time(self.clock.now)}"
-            )
-        self._seq += 1
-        self._live += 1
-        _heappush(self._queue, (when, priority, self._seq, None,
-                                callback, args))
 
     # ------------------------------------------------------------------
     # Execution
@@ -207,29 +170,9 @@ class Engine:
         """Total events dispatched since construction (for overhead benches)."""
         return self._dispatched_count
 
-    def step(self) -> bool:
-        """Dispatch the single next event.  Returns False if queue is empty."""
-        queue = self._queue
-        while queue:
-            when, _prio, _seq, handle, callback, args = _heappop(queue)
-            if handle is not None:
-                if handle.cancelled:
-                    continue
-                handle.dispatched = True
-            self._live -= 1
-            # Popped times are monotone (schedule refuses the past), so the
-            # clock moves forward without re-validating each advance.
-            self.clock._now = when
-            self._dispatched_count += 1
-            callback(*args)
-            return True
-        return False
-
-    def run(self, max_events: int | None = None) -> int:
-        """Run until the queue drains (or ``max_events`` dispatches).
-
-        Returns the number of events dispatched.
-        """
+    def run(self) -> int:
+        """Run until the queue drains.  Returns the number of events
+        dispatched."""
         if self._running:
             raise SimulationError("engine is not reentrant")
         self._running = True
@@ -240,28 +183,15 @@ class Engine:
         # The live/dispatched counters flush once in `finally`: both are
         # only observable between runs (callbacks never read them mid-run).
         try:
-            if max_events is None:
-                while queue:
-                    when, _prio, _seq, handle, callback, args = pop(queue)
-                    if handle is not None:
-                        if handle.cancelled:
-                            continue
-                        handle.dispatched = True
-                    clock._now = when
-                    dispatched += 1
-                    callback(*args)
-            else:
-                while queue:
-                    when, _prio, _seq, handle, callback, args = pop(queue)
-                    if handle is not None:
-                        if handle.cancelled:
-                            continue
-                        handle.dispatched = True
-                    clock._now = when
-                    dispatched += 1
-                    callback(*args)
-                    if dispatched >= max_events:
-                        break
+            while queue:
+                when, _prio, _seq, handle, callback, args = pop(queue)
+                if handle is not None:
+                    if handle.cancelled:
+                        continue
+                    handle.dispatched = True
+                clock._now = when
+                dispatched += 1
+                callback(*args)
         finally:
             self._running = False
             self._live -= dispatched

@@ -1,51 +1,31 @@
 """Generator-based simulation processes.
 
-Long-lived stateful behaviours (MAC state machines, the EVM runtime loop,
-plant polling) read naturally as generators that yield *wait requests*:
+Long-lived stateful behaviours (the B-MAC/S-MAC/RT-Link state machines)
+read naturally as generators that yield *wait requests*:
 
-    def sender(node):
+    def beacon(node):
         while True:
             yield Delay(100 * MS)
             node.radio.transmit(...)
-            got = yield WaitSignal(node.ack_signal, timeout=20 * MS)
 
-A :class:`Process` drives such a generator on the engine.  Two wait request
-types are supported:
-
-- :class:`Delay` -- resume after a fixed number of ticks;
-- :class:`WaitSignal` -- resume when a :class:`Signal` fires (the ``yield``
-  evaluates to the signal payload) or when the optional timeout elapses
-  (the ``yield`` evaluates to :data:`TIMEOUT`).
+A :class:`Process` drives such a generator on the engine.  Processes wait
+only on time: the one wait request is :class:`Delay`, which resumes the
+process after a fixed number of ticks.
 
 Resumes are **allocation-free**: instead of holding a cancellable
 :class:`~repro.sim.engine.EventHandle` per wait, the process carries a
-monotonically increasing *generation* counter and arms every wait through
-the engine's fire-and-forget ``post`` path with the generation baked into
-the callback arguments.  Cancellation (``kill``, a signal winning the race
-against its timeout) just bumps the generation, which turns any in-flight
-resume into a no-op when it pops -- the common MAC inner loop
-(B-MAC/S-MAC/RT-Link all run as generator processes) allocates nothing
-per ``Delay`` resume.
+monotonically increasing *generation* counter and arms every ``Delay``
+through the engine's fire-and-forget ``post`` path with the generation
+baked into the callback arguments.  ``kill`` just bumps the generation,
+which turns the in-flight resume into a no-op when it pops -- the MAC
+inner loops allocate nothing per ``Delay`` resume.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Generator, Iterable
+from typing import Any, Generator
 
 from repro.sim.engine import Engine, SimulationError
-
-
-class _Timeout:
-    """Sentinel returned from ``yield WaitSignal(...)`` on timeout."""
-
-    def __repr__(self) -> str:
-        return "TIMEOUT"
-
-    def __bool__(self) -> bool:
-        return False
-
-
-TIMEOUT = _Timeout()
 
 
 class Delay:
@@ -59,81 +39,20 @@ class Delay:
         self.ticks = int(ticks)
 
 
-class Signal:
-    """A broadcast waitable: processes and callbacks wake when it fires.
-
-    Unlike a queue, a signal does not buffer: a ``fire`` wakes exactly the
-    waiters registered at that moment.  ``name`` is for traces and debugging.
-    """
-
-    def __init__(self, name: str = "") -> None:
-        self.name = name
-        self._waiters: list[Callable[[Any], None]] = []
-        self.fire_count = 0
-        self.last_payload: Any = None
-
-    def wait(self, callback: Callable[[Any], None]) -> Callable[[], None]:
-        """Register ``callback(payload)`` for the next firing.
-
-        Returns an unsubscribe function (idempotent).
-        """
-        self._waiters.append(callback)
-
-        def unsubscribe() -> None:
-            try:
-                self._waiters.remove(callback)
-            except ValueError:
-                pass
-
-        return unsubscribe
-
-    def fire(self, payload: Any = None) -> int:
-        """Wake all current waiters with ``payload``; returns waiter count."""
-        self.fire_count += 1
-        self.last_payload = payload
-        waiters, self._waiters = self._waiters, []
-        for callback in waiters:
-            callback(payload)
-        return len(waiters)
-
-    @property
-    def waiter_count(self) -> int:
-        return len(self._waiters)
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"Signal({self.name!r}, waiters={len(self._waiters)})"
-
-
-class WaitSignal:
-    """Wait request: resume when ``signal`` fires, or after ``timeout`` ticks.
-
-    With a timeout, the yield expression evaluates to :data:`TIMEOUT` if the
-    timeout won the race, otherwise to the signal payload.
-    """
-
-    __slots__ = ("signal", "timeout")
-
-    def __init__(self, signal: Signal, timeout: int | None = None) -> None:
-        if timeout is not None and timeout < 0:
-            raise ValueError(f"negative timeout {timeout}")
-        self.signal = signal
-        self.timeout = timeout
-
-
 class Process:
-    """Drives a generator of wait requests on an :class:`Engine`.
+    """Drives a generator of :class:`Delay` requests on an :class:`Engine`.
 
     The process starts on the next engine dispatch (never synchronously), so
     construction order in user code does not affect event order subtleties.
 
     ``_generation`` identifies the currently-armed wait: every arm bumps it
     and bakes the new value into the posted resume's arguments, so a resume
-    whose generation no longer matches (killed process, lost signal/timeout
-    race) falls through as a no-op instead of needing a cancellable handle.
+    whose generation no longer matches (killed process) falls through as a
+    no-op instead of needing a cancellable handle.
     """
 
     __slots__ = ("engine", "name", "_gen", "alive", "result", "_generation",
-                 "_unsubscribe", "_post", "_resume_cb")
+                 "_post", "_resume_cb")
 
     def __init__(self, engine: Engine, generator: Generator, name: str = "") -> None:
         self.engine = engine
@@ -142,12 +61,11 @@ class Process:
         self.alive = True
         self.result: Any = None
         self._generation = 1
-        self._unsubscribe: Callable[[], None] | None = None
         # Bound once: the resume path would otherwise re-create the bound
         # method (and re-resolve engine.post) on every single wait.
         self._post = engine.post
         self._resume_cb = self._resume_if
-        self._post(0, self._resume_cb, 1, None)
+        self._post(0, self._resume_cb, 1)
 
     def kill(self) -> None:
         """Stop the process; its generator is closed and never resumed."""
@@ -155,17 +73,14 @@ class Process:
             return
         self.alive = False
         self._generation += 1  # any in-flight resume is now stale
-        if self._unsubscribe is not None:
-            self._unsubscribe()
-            self._unsubscribe = None
         self._gen.close()
 
-    def _resume_if(self, gen: int, value: Any) -> None:
+    def _resume_if(self, gen: int) -> None:
         """Resume the generator iff ``gen`` is still the armed wait."""
         if gen != self._generation or not self.alive:
             return
         try:
-            request = self._gen.send(value)
+            request = self._gen.send(None)
         except StopIteration as stop:
             self.alive = False
             self.result = stop.value
@@ -174,58 +89,21 @@ class Process:
             # The hot path: no handle, no closure -- one heap entry
             # carrying the next generation.
             self._generation = gen = self._generation + 1
-            self._post(request.ticks, self._resume_cb, gen, None)
-        elif isinstance(request, WaitSignal):
-            self._arm_wait_signal(request)
+            self._post(request.ticks, self._resume_cb, gen)
         else:
             self._fail_request(request)
 
     def _fail_request(self, request: Any) -> None:
         # Tear down fully before raising: the generator is closed (its
-        # finally blocks run) and no stale waiter can resurrect us.
+        # finally blocks run) and no stale resume can resurrect us.
         self.alive = False
         self._generation += 1
-        if self._unsubscribe is not None:
-            self._unsubscribe()
-            self._unsubscribe = None
         self._gen.close()
         raise SimulationError(
             f"process {self.name!r} yielded unsupported request "
-            f"{request!r}; expected Delay or WaitSignal"
+            f"{request!r}; expected Delay"
         )
-
-    def _arm_wait_signal(self, request: WaitSignal) -> None:
-        self._generation = gen = self._generation + 1
-
-        def on_signal(payload: Any) -> None:
-            if gen != self._generation or not self.alive:
-                return
-            # Consuming the wait bumps the generation, which also settles
-            # the race: a timeout still in the heap is now stale.  Resume
-            # on the engine to avoid re-entrant generator sends when a
-            # signal fires from within this same process's call stack.
-            self._generation = new_gen = gen + 1
-            self._unsubscribe = None
-            self._post(0, self._resume_cb, new_gen, payload)
-
-        self._unsubscribe = request.signal.wait(on_signal)
-
-        if request.timeout is not None:
-            self._post(request.timeout, self._on_timeout, gen)
-
-    def _on_timeout(self, gen: int) -> None:
-        if gen != self._generation or not self.alive:
-            return  # the signal won the race (or the process died)
-        if self._unsubscribe is not None:
-            self._unsubscribe()
-            self._unsubscribe = None
-        self._resume_if(gen, TIMEOUT)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "alive" if self.alive else "dead"
         return f"Process({self.name!r}, {state})"
-
-
-def spawn_all(engine: Engine, generators: Iterable[Generator]) -> list[Process]:
-    """Convenience: start a process per generator, in order."""
-    return [Process(engine, gen) for gen in generators]

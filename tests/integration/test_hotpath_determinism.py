@@ -245,6 +245,22 @@ def widegrid_payload() -> str:
                        "mac": dataclasses.asdict(mac)}, sort_keys=True)
 
 
+# ----------------------------------------------------------------------
+# Workload 7: wide-grid failover with flood suppression forced on
+# ----------------------------------------------------------------------
+def widegrid_suppressed_payload() -> str:
+    """The 100-node failover trial with relay suppression and the EVM
+    flood bounds switched on.  Suppression engages on its own only at
+    ``FLOOD_SUPPRESS_AUTO_NODES`` and above, so without this workload
+    the suppressed relay path is digested nowhere below 1000 nodes."""
+    from repro.experiments.widegrid import WideGridConfig, run_widegrid_trial
+
+    trial = run_widegrid_trial(WideGridConfig(
+        n_nodes=100, seed=1, duration_sec=20.0, crash_primary_at_sec=8.0,
+        flood_suppress_threshold=2))
+    return json.dumps(dataclasses.asdict(trial), sort_keys=True)
+
+
 WORKLOADS = {
     "fig6": fig6_payload,
     "campaign": campaign_payload,
@@ -252,6 +268,7 @@ WORKLOADS = {
     "vm_suite": vm_payload,
     "plant": plant_payload,
     "widegrid": widegrid_payload,
+    "widegrid_suppressed": widegrid_suppressed_payload,
 }
 
 
@@ -288,6 +305,11 @@ class TestGoldenDigests:
         payload = widegrid_payload()
         assert payload == widegrid_payload()  # replay identity
         assert _digest(payload) == _goldens()["widegrid"]
+
+    def test_widegrid_suppressed_matches_golden_and_replays(self):
+        payload = widegrid_suppressed_payload()
+        assert payload == widegrid_suppressed_payload()  # replay identity
+        assert _digest(payload) == _goldens()["widegrid_suppressed"]
 
 
 class TestObsOnGoldenDigests:

@@ -15,7 +15,7 @@ import pytest
 
 from repro.control.compiler import compile_passthrough
 from repro.evm.capsule import Capsule
-from repro.evm.runtime import EvmRuntime, FloodDiscipline, StateSharingPolicy
+from repro.evm.runtime import EvmRuntime, StateSharingPolicy
 from repro.evm.tasks import LogicalTask
 from repro.evm.virtual_component import VcMember, VirtualComponent
 from repro.hardware.node import FireFlyNode
@@ -138,9 +138,11 @@ class TestRelaySuppression:
 # ----------------------------------------------------------------------
 # EVM-side discipline
 # ----------------------------------------------------------------------
-def _build_runtime(engine, discipline, state_mode="active"):
+def _build_runtime(engine, threshold, state_mode="active"):
     """One runtime on node 'c', hosting 'job' as the backup of primary
-    'p', with a recording MAC underneath."""
+    'p', with a recording MAC underneath.  ``threshold`` is the runtime's
+    ``flood_suppress_threshold``; each test feeds one message kind, so
+    only the mechanism under test ever sees traffic."""
     mac = _FakeMac("c", engine)
     vc = VirtualComponent("storm-vc")
     vc.admit(VcMember("p", frozenset({"x"})))
@@ -156,7 +158,7 @@ def _build_runtime(engine, discipline, state_mode="active"):
     runtime = EvmRuntime(
         kernel, vc, frozenset({"x"}),
         state_sharing=StateSharingPolicy(mode=state_mode),
-        flood_discipline=discipline)
+        flood_suppress_threshold=threshold)
     runtime.install_capsule(
         Capsule.from_program(compile_passthrough("ident", gain=1.0), 1))
     runtime.configure_from_vc(head_id="p")
@@ -187,7 +189,7 @@ class TestCapsuleFanoutBound:
     def test_rebroadcast_suppressed_when_spreaders_heard(self):
         engine = Engine()
         runtime, mac = _build_runtime(
-            engine, FloodDiscipline(capsule_fanout_bound=2))
+            engine, 2)
         capsule = self._spare_capsule()
         frags = _fragments(capsule, pieces=3)
         # Two distinct spreaders heard before reassembly completes.
@@ -203,7 +205,7 @@ class TestCapsuleFanoutBound:
     def test_rebroadcast_proceeds_below_bound(self):
         engine = Engine()
         runtime, mac = _build_runtime(
-            engine, FloodDiscipline(capsule_fanout_bound=2))
+            engine, 2)
         capsule = self._spare_capsule()
         for frag in _fragments(capsule, pieces=3):
             runtime.deliver(_capfrag("n1", frag))   # one spreader only
@@ -213,7 +215,7 @@ class TestCapsuleFanoutBound:
 
     def test_default_discipline_always_rebroadcasts(self):
         engine = Engine()
-        runtime, mac = _build_runtime(engine, None)
+        runtime, mac = _build_runtime(engine, 0)
         capsule = self._spare_capsule()
         frags = _fragments(capsule, pieces=3)
         runtime.deliver(_capfrag("n1", frags[0]))
@@ -235,7 +237,7 @@ class TestStateStaleDrop:
     def test_non_advancing_snapshots_dropped(self):
         engine = Engine()
         runtime, _mac = _build_runtime(
-            engine, FloodDiscipline(state_stale_drop=True),
+            engine, 2,
             state_mode="passive")
         runtime.deliver(self._snapshot(jobs=4, value=1.0))
         runtime.deliver(self._snapshot(jobs=4, value=2.0))   # duplicate
@@ -249,7 +251,7 @@ class TestStateStaleDrop:
 
     def test_default_discipline_applies_every_snapshot(self):
         engine = Engine()
-        runtime, _mac = _build_runtime(engine, None, state_mode="passive")
+        runtime, _mac = _build_runtime(engine, 0, state_mode="passive")
         runtime.deliver(self._snapshot(jobs=4, value=1.0))
         runtime.deliver(self._snapshot(jobs=4, value=2.0))
         assert runtime.stats.snapshots_applied == 2
@@ -268,7 +270,7 @@ class TestModeDedup:
     def test_exact_duplicates_dropped_once_applied(self):
         engine = Engine()
         runtime, _mac = _build_runtime(
-            engine, FloodDiscipline(mode_dedup=True))
+            engine, 2)
         runtime.deliver(self._mode(epoch=1))
         runtime.deliver(self._mode(epoch=1))
         assert runtime.stats.mode_duplicates_dropped == 1
@@ -279,7 +281,7 @@ class TestModeDedup:
         # the fingerprint covers the modes map so it must go through.
         engine = Engine()
         runtime, _mac = _build_runtime(
-            engine, FloodDiscipline(mode_dedup=True))
+            engine, 2)
         runtime.deliver(self._mode(epoch=2, primary="c"))
         assert runtime.instances["job"].mode.value == "backup"
         runtime.deliver(self._mode(epoch=2, primary="c",

@@ -71,7 +71,7 @@ def _engine_workload() -> int:
     engine = Engine()
     hits = []
     for i in range(200):
-        engine.schedule_at(i * 100, hits.append, i)
+        engine.schedule(i * 100, hits.append, i)
     engine.run()
     return len(hits)
 

@@ -39,7 +39,7 @@ def test_engine_meters_flush_per_run(registry):
     engine = Engine()
     hits = []
     for i in range(50):
-        engine.schedule_at(i * 1000, hits.append, i)
+        engine.schedule(i * 1000, hits.append, i)
     engine.run()
     values = registry.values()
     assert values["repro_engine_events_dispatched_total"] == 50

@@ -45,22 +45,22 @@ class TestDegradedLinksModel:
 
     def test_multiplies_base_survival(self):
         model = DegradedLinks(FixedPrr(0.5), prr=0.5)
-        assert model.expected_prr(10.0) == pytest.approx(0.25)
+        assert model.expected_prr("a", "b", 10.0) == pytest.approx(0.25)
 
     def test_targeted_links_only(self):
         model = DegradedLinks(PerfectLinks(), prr=0.0,
                               links=(("a", "b"),))
         rng = random.Random(1)
-        assert not model.frame_survives_link("a", "b", 10.0, 32, rng)
-        assert not model.frame_survives_link("b", "a", 10.0, 32, rng)
-        assert model.frame_survives_link("a", "c", 10.0, 32, rng)
+        assert not model.frame_survives("a", "b", 10.0, 32, rng)
+        assert not model.frame_survives("b", "a", 10.0, 32, rng)
+        assert model.frame_survives("a", "c", 10.0, 32, rng)
 
     def test_revert_is_pass_through(self):
         model = DegradedLinks(PerfectLinks(), prr=0.0)
         model.active = False
         rng = random.Random(1)
-        assert model.frame_survives_link("a", "b", 10.0, 32, rng)
-        assert model.expected_prr(10.0) == pytest.approx(1.0)
+        assert model.frame_survives("a", "b", 10.0, 32, rng)
+        assert model.expected_prr("a", "b", 10.0) == pytest.approx(1.0)
 
     def test_rejects_bad_prr(self):
         with pytest.raises(ValueError):
@@ -69,8 +69,8 @@ class TestDegradedLinksModel:
     def test_expected_prr_link_sees_targeting(self):
         model = DegradedLinks(PerfectLinks(), prr=0.25,
                               links=(("a", "b"),))
-        assert model.expected_prr_link("a", "b", 10.0) == pytest.approx(0.25)
-        assert model.expected_prr_link("a", "c", 10.0) == pytest.approx(1.0)
+        assert model.expected_prr("a", "b", 10.0) == pytest.approx(0.25)
+        assert model.expected_prr("a", "c", 10.0) == pytest.approx(1.0)
 
 
 class TestNodeCrashRecover:

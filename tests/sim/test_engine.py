@@ -67,12 +67,6 @@ class TestScheduling:
         with pytest.raises(SimulationError):
             engine.schedule(-1, lambda: None)
 
-    def test_schedule_at_past_rejected(self, engine):
-        engine.schedule(100, lambda: None)
-        engine.run()
-        with pytest.raises(SimulationError):
-            engine.schedule_at(50, lambda: None)
-
     def test_events_can_schedule_events(self, engine):
         seen = []
 
@@ -135,13 +129,6 @@ class TestRunWindows:
         engine.run_until(100)
         with pytest.raises(SimulationError):
             engine.run_until(50)
-
-    def test_max_events(self, engine):
-        for _ in range(10):
-            engine.schedule(10, lambda: None)
-        dispatched = engine.run(max_events=4)
-        assert dispatched == 4
-        assert engine.pending_events == 6
 
     def test_leftover_events_run_later(self, engine):
         fired = []

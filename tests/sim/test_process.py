@@ -1,9 +1,9 @@
-"""Processes: delays, signals, timeouts, kill semantics."""
+"""Processes: delays, kill semantics, bad-yield teardown."""
 
 import pytest
 
 from repro.sim.engine import Engine, SimulationError
-from repro.sim.process import TIMEOUT, Delay, Process, Signal, WaitSignal
+from repro.sim.process import Delay, Process
 
 
 class TestDelay:
@@ -45,107 +45,6 @@ class TestDelay:
         assert not proc.alive
 
 
-class TestSignal:
-    def test_signal_payload_delivered(self, engine):
-        sig = Signal("ready")
-        got = []
-
-        def waiter():
-            payload = yield WaitSignal(sig)
-            got.append(payload)
-
-        Process(engine, waiter())
-        engine.schedule(50, sig.fire, "hello")
-        engine.run()
-        assert got == ["hello"]
-
-    def test_signal_wakes_all_waiters(self, engine):
-        sig = Signal()
-        woken = []
-
-        def waiter(name):
-            yield WaitSignal(sig)
-            woken.append(name)
-
-        Process(engine, waiter("a"))
-        Process(engine, waiter("b"))
-        engine.schedule(10, sig.fire, None)
-        engine.run()
-        assert sorted(woken) == ["a", "b"]
-
-    def test_signal_does_not_buffer(self, engine):
-        sig = Signal()
-        got = []
-        # Fire before anyone waits: nothing is delivered later.
-        sig.fire("lost")
-
-        def late_waiter():
-            payload = yield WaitSignal(sig, timeout=100)
-            got.append(payload)
-
-        Process(engine, late_waiter())
-        engine.run()
-        assert got == [TIMEOUT]
-
-    def test_unsubscribe(self):
-        sig = Signal()
-        calls = []
-        unsub = sig.wait(calls.append)
-        unsub()
-        sig.fire(1)
-        assert calls == []
-        unsub()  # idempotent
-
-    def test_fire_count(self):
-        sig = Signal()
-        sig.fire(1)
-        sig.fire(2)
-        assert sig.fire_count == 2
-        assert sig.last_payload == 2
-
-
-class TestTimeout:
-    def test_timeout_returns_sentinel(self, engine):
-        sig = Signal()
-        got = []
-
-        def waiter():
-            result = yield WaitSignal(sig, timeout=100)
-            got.append((result, engine.now))
-
-        Process(engine, waiter())
-        engine.run()
-        assert got == [(TIMEOUT, 100)]
-        assert not TIMEOUT  # falsy for easy checks
-
-    def test_signal_beats_timeout(self, engine):
-        sig = Signal()
-        got = []
-
-        def waiter():
-            result = yield WaitSignal(sig, timeout=100)
-            got.append(result)
-
-        Process(engine, waiter())
-        engine.schedule(50, sig.fire, "fast")
-        engine.run()
-        assert got == ["fast"]
-
-    def test_no_double_resume(self, engine):
-        sig = Signal()
-        resumes = []
-
-        def waiter():
-            result = yield WaitSignal(sig, timeout=50)
-            resumes.append(result)
-            yield Delay(1000)
-
-        Process(engine, waiter())
-        engine.schedule(50, sig.fire, "same-tick")
-        engine.run()
-        assert len(resumes) == 1
-
-
 class TestKill:
     def test_killed_process_stops(self, engine):
         progress = []
@@ -161,18 +60,6 @@ class TestKill:
         assert progress == [10, 20, 30]
         assert not proc.alive
 
-    def test_kill_removes_signal_waiter(self, engine):
-        sig = Signal()
-
-        def worker():
-            yield WaitSignal(sig)
-
-        proc = Process(engine, worker())
-        engine.run(max_events=1)
-        assert sig.waiter_count == 1
-        proc.kill()
-        assert sig.waiter_count == 0
-
     def test_bad_yield_raises(self, engine):
         def worker():
             yield "not a request"
@@ -184,8 +71,8 @@ class TestKill:
 
 class TestBadYieldCleanup:
     """An unsupported yield must tear the process down fully *before* the
-    error propagates: generator closed (finally blocks run), no stale
-    signal waiter left behind, process dead for good."""
+    error propagates: generator closed (finally blocks run), process dead
+    for good."""
 
     def test_bad_yield_closes_generator(self, engine):
         cleaned = []
@@ -201,24 +88,6 @@ class TestBadYieldCleanup:
         with pytest.raises(SimulationError):
             engine.run()
         assert cleaned == [True]
-        assert not proc.alive
-
-    def test_bad_yield_after_signal_leaves_no_waiter(self, engine):
-        sig = Signal("evt")
-
-        def worker():
-            yield WaitSignal(sig)
-            yield "garbage"
-
-        proc = Process(engine, worker())
-        engine.schedule(5, sig.fire, "go")
-        with pytest.raises(SimulationError):
-            engine.run()
-        assert sig.waiter_count == 0
-        assert not proc.alive
-        # A later firing must not resurrect the dead process.
-        sig.fire("again")
-        engine.run()
         assert not proc.alive
 
     def test_process_survivors_unaffected(self, engine):
@@ -274,36 +143,3 @@ class TestGenerationGuard:
         Process(engine, worker())
         engine.run()
         assert laps == [7, 14, 21, 28, 35]
-
-    def test_timeout_then_signal_single_resume(self, engine):
-        sig = Signal()
-        got = []
-
-        def worker():
-            got.append((yield WaitSignal(sig, timeout=50)))
-            got.append((yield Delay(100)) or "delayed")
-
-        Process(engine, worker())
-        engine.schedule(60, sig.fire, "late")  # after the timeout won
-        engine.run()
-        assert got == [TIMEOUT, "delayed"]
-
-    def test_kill_between_signal_and_resume(self, engine):
-        """Signal fires (resume posted), then the process is killed in the
-        same tick before the resume dispatches: the resume must be stale."""
-        sig = Signal()
-        resumed = []
-
-        def worker():
-            resumed.append((yield WaitSignal(sig)))
-
-        proc = Process(engine, worker())
-
-        def fire_then_kill():
-            sig.fire("payload")   # posts the resume for this tick
-            proc.kill()           # bumps the generation first
-
-        engine.schedule(10, fire_then_kill)
-        engine.run()
-        assert resumed == []
-        assert not proc.alive
