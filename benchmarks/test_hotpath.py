@@ -128,8 +128,7 @@ def test_vm_dispatch_throughput(benchmark):
         return state.steps
 
     steps = benchmark.pedantic(drive, rounds=3, iterations=1)
-    # Virtual step accounting is preserved even though the peephole pass
-    # executes the loop in fewer dispatches.
+    # One step per executed instruction: seven per countdown iteration.
     assert steps >= iterations * 7
 
 

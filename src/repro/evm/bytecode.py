@@ -199,43 +199,6 @@ class Program:
         return "\n".join(lines)
 
 
-# ----------------------------------------------------------------------
-# Constant folding (compile-time service for the peephole pass)
-# ----------------------------------------------------------------------
-# Python-float semantics exactly as the interpreter's handlers compute
-# them at run time (NaN propagation, signed zeros, first-operand-wins
-# min/max ties), so a folded constant is bit-identical to the value the
-# unoptimized dispatch would have produced.
-_FOLDABLE_BINOPS = {
-    Opcode.ADD: lambda a, b: a + b,
-    Opcode.SUB: lambda a, b: a - b,
-    Opcode.MUL: lambda a, b: a * b,
-    Opcode.MIN: min,
-    Opcode.MAX: max,
-    Opcode.LT: lambda a, b: 1.0 if a < b else 0.0,
-    Opcode.GT: lambda a, b: 1.0 if a > b else 0.0,
-    Opcode.LE: lambda a, b: 1.0 if a <= b else 0.0,
-    Opcode.GE: lambda a, b: 1.0 if a >= b else 0.0,
-    Opcode.EQ: lambda a, b: 1.0 if a == b else 0.0,
-    Opcode.NE: lambda a, b: 1.0 if a != b else 0.0,
-    Opcode.AND: lambda a, b: 1.0 if (a != 0.0 and b != 0.0) else 0.0,
-    Opcode.OR: lambda a, b: 1.0 if (a != 0.0 or b != 0.0) else 0.0,
-}
-
-
-def fold_constants(op: Opcode, a: float, b: float) -> float | None:
-    """Compile-time result of ``PUSH a; PUSH b; <op>``.
-
-    Returns ``None`` when the triple cannot be folded without changing
-    runtime semantics (non-binop opcodes, or DIV by a zero constant,
-    which must keep raising at its own step).
-    """
-    if op is Opcode.DIV:
-        return a / b if b != 0.0 else None
-    fn = _FOLDABLE_BINOPS.get(op)
-    return fn(a, b) if fn is not None else None
-
-
 def _encode_str(text: str) -> bytes:
     raw = text.encode("utf-8")
     if len(raw) > 255:

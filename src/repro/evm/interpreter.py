@@ -13,20 +13,14 @@ Dispatch is direct-threaded: each :class:`~repro.evm.bytecode.Program` is
 compiled once per process into a per-instruction list of ``(handler, arg)``
 pairs built from a dispatch table, so the inner loop is "index, call"
 instead of a 30-way opcode chain.  The code is kept on the program object
-and shared by every interpreter that runs it.  A **peephole pass** then
-rewrites slots of that threaded code with superinstructions --
-``PUSH c``+binop fusion, full constant folding of ``PUSH;PUSH;binop`` triples,
-``DUP;DROP`` elimination, ``STORE s;LOAD s`` write-through, ``LOAD;JZ``
-fused branches and jump threading -- each accounting for the virtual steps
-it absorbs.  Slots covered by a pattern keep their original handlers as
-landing pads, so jumps into the middle of a fused pair behave exactly like
-the naive dispatcher.  Compile-time work (float coercion of PUSH literals,
+and shared by every interpreter that runs it; one slot is one instruction
+and one step.  Compile-time work (float coercion of PUSH literals,
 jump-range validation, channel/host/word name resolution) is hoisted out of
 the loop, but every *runtime-visible* behaviour -- error strings, the
-program state at the moment an error is raised, step accounting including
-budget pauses mid-pattern, the root-table fallback for empty name tables --
-is bit-identical to the naive dispatcher; the golden-determinism suite pins
-this.  ``Interpreter(peephole=False)`` disables the pass for A/B checks.
+program state at the moment an error is raised, step accounting and budget
+pauses, the root-table fallback for empty name tables -- is bit-identical
+to the naive dispatcher; the golden-determinism suite pins this against a
+reference transcription of the seed's dispatch loop.
 """
 
 from __future__ import annotations
@@ -34,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from repro.evm.bytecode import Opcode, Program, fold_constants
+from repro.evm.bytecode import Opcode, Program
 from repro.obs import instrument
 
 CYCLES_PER_INSTRUCTION = 80
@@ -496,261 +490,6 @@ _NAMED_TABLES = {
 }
 
 
-# ----------------------------------------------------------------------
-# Peephole superinstructions.
-#
-# The peephole pass rewrites *slots* of the threaded code, never the
-# instruction stream: a fused handler at slot ``i`` performs the work of
-# instructions ``i..i+k-1`` and returns ``k-1`` extra steps, while slots
-# ``i+1..i+k-1`` keep their original single-instruction handlers as
-# landing pads for jumps into the middle of a pattern.  Fusions may
-# therefore overlap freely -- each slot is an independent view of the
-# same virtual instruction stream.
-#
-# Bit-identical semantics near the edges:
-#
-# - *Step accounting*: the run loop adds the returned extra cost, so
-#   ``state.steps`` counts virtual instructions exactly.  Within
-#   ``_FUSED_MAX_COST - 1`` steps of the budget the loop switches to the
-#   plain (cost-1) code, so a pause or budget error lands on the exact
-#   same instruction boundary as the naive dispatcher.
-# - *Errors*: a fault in the middle of a pattern replicates the naive
-#   dispatcher's state at the raise -- pc advanced past the completed
-#   sub-instructions, their stack effects applied, and the completed
-#   count recorded in ``ctx._extra_steps`` (folded into ``state.steps``
-#   by the run loop's ``finally``).
-# ----------------------------------------------------------------------
-_FUSED_MAX_COST = 4  # PUSH/PUSH/binop fold = 3; threaded JMP chain <= 4
-
-
-def _h_push_add_f(ctx, state, stack, c):
-    if len(stack) >= ctx._max_stack:
-        raise _overflow(ctx, state)
-    try:
-        a = stack.pop()
-    except IndexError:
-        state.pc += 1
-        ctx._extra_steps = 1
-        raise _underflow(state) from None
-    stack.append(a + c)
-    state.pc += 1
-    return 1
-
-
-def _h_push_sub_f(ctx, state, stack, c):
-    if len(stack) >= ctx._max_stack:
-        raise _overflow(ctx, state)
-    try:
-        a = stack.pop()
-    except IndexError:
-        state.pc += 1
-        ctx._extra_steps = 1
-        raise _underflow(state) from None
-    stack.append(a - c)
-    state.pc += 1
-    return 1
-
-
-def _h_push_mul_f(ctx, state, stack, c):
-    if len(stack) >= ctx._max_stack:
-        raise _overflow(ctx, state)
-    try:
-        a = stack.pop()
-    except IndexError:
-        state.pc += 1
-        ctx._extra_steps = 1
-        raise _underflow(state) from None
-    stack.append(a * c)
-    state.pc += 1
-    return 1
-
-
-def _make_push_binop_f(combine):
-    """Fused ``PUSH c; <binop>`` handler for the less-hot operators."""
-
-    def handler(ctx, state, stack, c):
-        if len(stack) >= ctx._max_stack:
-            raise _overflow(ctx, state)
-        try:
-            a = stack.pop()
-        except IndexError:
-            state.pc += 1
-            ctx._extra_steps = 1
-            raise _underflow(state) from None
-        stack.append(combine(a, c))
-        state.pc += 1
-        return 1
-
-    return handler
-
-
-_PUSH_BINOP_FUSED = {
-    Opcode.ADD: _h_push_add_f,
-    Opcode.SUB: _h_push_sub_f,
-    Opcode.MUL: _h_push_mul_f,
-    Opcode.DIV: _make_push_binop_f(lambda a, c: a / c),  # c != 0 at compile
-    Opcode.MIN: _make_push_binop_f(min),
-    Opcode.MAX: _make_push_binop_f(max),
-    Opcode.LT: _make_push_binop_f(lambda a, c: 1.0 if a < c else 0.0),
-    Opcode.GT: _make_push_binop_f(lambda a, c: 1.0 if a > c else 0.0),
-    Opcode.LE: _make_push_binop_f(lambda a, c: 1.0 if a <= c else 0.0),
-    Opcode.GE: _make_push_binop_f(lambda a, c: 1.0 if a >= c else 0.0),
-    Opcode.EQ: _make_push_binop_f(lambda a, c: 1.0 if a == c else 0.0),
-    Opcode.NE: _make_push_binop_f(lambda a, c: 1.0 if a != c else 0.0),
-    Opcode.AND: _make_push_binop_f(
-        lambda a, c: 1.0 if (a != 0.0 and c != 0.0) else 0.0),
-    Opcode.OR: _make_push_binop_f(
-        lambda a, c: 1.0 if (a != 0.0 or c != 0.0) else 0.0),
-}
-
-
-def _h_push2_fold_f(ctx, state, stack, arg):
-    # PUSH a; PUSH b; binop, folded to its constant at compile time.
-    first, folded = arg
-    depth = len(stack)
-    if depth >= ctx._max_stack:
-        raise _overflow(ctx, state)
-    if depth + 1 >= ctx._max_stack:
-        # The *second* PUSH is the one that overflows, after the first
-        # landed: replicate that exact state.
-        stack.append(first)
-        state.pc += 1
-        ctx._extra_steps = 1
-        raise _overflow(ctx, state)
-    stack.append(folded)
-    state.pc += 2
-    return 2
-
-
-def _h_dup_drop_f(ctx, state, stack, arg):
-    # DUP; DROP eliminated -- only the naive pair's bound checks remain.
-    if not stack:
-        raise _underflow(state)
-    if len(stack) >= ctx._max_stack:
-        raise _overflow(ctx, state)
-    state.pc += 1
-    return 1
-
-
-def _h_store_load_f(ctx, state, stack, slot):
-    # STORE s; LOAD s -- write-through without the stack round trip.
-    try:
-        value = stack.pop()
-    except IndexError:
-        raise _underflow(state) from None
-    memory = ctx.memory
-    if not 0 <= slot < len(memory):
-        raise VmError(f"STORE slot {slot} out of range")
-    memory[slot] = value
-    stack.append(float(value))  # LOAD's coercion, bit-for-bit
-    state.pc += 1
-    return 1
-
-
-def _h_load_jz_f(ctx, state, stack, arg):
-    # LOAD s; JZ t -- the branch consumes the loaded value directly.
-    slot, target = arg
-    memory = ctx.memory
-    if not 0 <= slot < len(memory):
-        raise VmError(f"LOAD slot {slot} out of range")
-    if len(stack) >= ctx._max_stack:
-        raise _overflow(ctx, state)
-    if memory[slot] == 0.0:
-        state.pc = target
-    else:
-        state.pc += 1
-    return 1
-
-
-def _h_jmp_thread_f(ctx, state, stack, arg):
-    target, extra = arg
-    state.pc = target
-    return extra
-
-
-def _h_jz_thread_f(ctx, state, stack, arg):
-    if not stack:
-        raise _underflow(state)
-    if stack.pop() == 0.0:
-        target, extra = arg
-        state.pc = target
-        return extra
-    return None
-
-
-def _thread_jump(instructions, target: int, n: int,
-                 cap: int = _FUSED_MAX_COST - 1) -> tuple[int, int]:
-    """Follow a chain of in-range JMPs from ``target``; returns the final
-    target and the number of collapsed hops (0 = nothing to thread).
-    Cycles terminate via the seen-set; ``cap`` bounds the per-dispatch
-    step cost so the budget guard stays a small constant."""
-    collapsed = 0
-    seen = {target}
-    while collapsed < cap and target < n:
-        ins = instructions[target]
-        if ins.opcode is not Opcode.JMP:
-            break
-        nxt = ins.arg
-        if not 0 <= nxt <= n or nxt in seen:
-            break
-        seen.add(nxt)
-        collapsed += 1
-        target = nxt
-    return target, collapsed
-
-
-def _optimize_code(program: Program, code: list[tuple]) -> list[tuple]:
-    """The peephole pass: fuse adjacent-instruction idioms into
-    superinstruction slots of the threaded code.
-
-    Every transform preserves observable semantics instruction-for-
-    instruction (checked against the naive dispatcher by the
-    golden-determinism property suite); returns ``code`` itself when no
-    opportunity exists so the common tiny-program case costs nothing.
-    """
-    instructions = program.instructions
-    n = len(instructions)
-    fused = None
-    for i, ins in enumerate(instructions):
-        op = ins.opcode
-        nxt = instructions[i + 1].opcode if i + 1 < n else None
-        replacement = None
-        if op is Opcode.PUSH:
-            if nxt is Opcode.PUSH and i + 2 < n:
-                folded = fold_constants(instructions[i + 2].opcode,
-                                        float(ins.arg),
-                                        float(instructions[i + 1].arg))
-                if folded is not None:
-                    replacement = (_h_push2_fold_f,
-                                   (float(ins.arg), folded))
-            if replacement is None:
-                handler = _PUSH_BINOP_FUSED.get(nxt)
-                if handler is not None:
-                    c = float(ins.arg)
-                    if not (nxt is Opcode.DIV and c == 0.0):
-                        replacement = (handler, c)
-        elif op is Opcode.DUP and nxt is Opcode.DROP:
-            replacement = (_h_dup_drop_f, None)
-        elif (op is Opcode.STORE and nxt is Opcode.LOAD
-                and ins.arg == instructions[i + 1].arg):
-            replacement = (_h_store_load_f, ins.arg)
-        elif op is Opcode.LOAD and nxt is Opcode.JZ:
-            target = instructions[i + 1].arg
-            if 0 <= target <= n:
-                replacement = (_h_load_jz_f, (ins.arg, target))
-        elif op in (Opcode.JMP, Opcode.JZ) and 0 <= ins.arg <= n:
-            target, collapsed = _thread_jump(instructions, ins.arg, n)
-            if collapsed:
-                handler = (_h_jmp_thread_f if op is Opcode.JMP
-                           else _h_jz_thread_f)
-                replacement = (handler, (target, collapsed))
-        if replacement is not None:
-            if fused is None:
-                fused = list(code)
-            fused[i] = replacement
-    return fused if fused is not None else code
-
-
 def _compile_program(program: Program) -> list[tuple]:
     """Translate ``program`` into its direct-threaded ``(handler, arg)``
     form.  Pure function of the (immutable) program, so the result is
@@ -790,9 +529,9 @@ def _compile_program(program: Program) -> list[tuple]:
 _THREADED_ATTR = "_threaded_code"
 
 
-def _threaded(program: Program) -> tuple[list[tuple], list[tuple]]:
-    """``(plain, fused)`` threaded code for ``program``, compiled on first
-    use and kept on the program object outside its dataclass fields.
+def _threaded(program: Program) -> list[tuple]:
+    """Threaded code for ``program``, compiled on first use and kept on
+    the program object outside its dataclass fields.
 
     It is shared by every interpreter in the process and dies with the
     program.  The cache is per object, never per value: programs holding
@@ -800,29 +539,23 @@ def _threaded(program: Program) -> tuple[list[tuple], list[tuple]]:
     outputs, so each compiles its own.
     """
     attrs = vars(program)
-    pair = attrs.get(_THREADED_ATTR)
-    if pair is None:
-        plain = _compile_program(program)
-        # setdefault: a racing thread's pair wins, so all callers share it.
-        pair = attrs.setdefault(_THREADED_ATTR,
-                                (plain, _optimize_code(program, plain)))
-    return pair
+    code = attrs.get(_THREADED_ATTR)
+    if code is None:
+        # setdefault: a racing thread's code wins, so all callers share it.
+        code = attrs.setdefault(_THREADED_ATTR, _compile_program(program))
+    return code
 
 
 class Interpreter:
     """Executes programs; owns the word and host-hook registries."""
 
-    def __init__(self, max_stack: int = 64, max_steps: int = 100_000,
-                 memory_slots: int = 64, peephole: bool = True) -> None:
+    def __init__(self, max_stack: int = 64, max_steps: int = 100_000) -> None:
         self.max_stack = max_stack
         self.max_steps = max_steps
-        self.memory_slots = memory_slots
-        self.peephole = peephole
         self._words: dict[str, Program] = {}
         self._hosts: dict[str, Callable[["ExecutionContext"], None]] = {}
         self._channels_in: dict[str, Callable[[], float]] = {}
         self._channels_out: dict[str, Callable[[float], None]] = {}
-        self.total_steps = 0
         # Metered at execute() granularity only -- the threaded-code
         # dispatch loop must never see a per-instruction hook.
         self._obs = instrument.vm_meters()
@@ -849,20 +582,6 @@ class Interpreter:
     def bind_output(self, channel: str, fn: Callable[[float], None]) -> None:
         """Bind an ``OUT`` channel (actuation, transmit, ...)."""
         self._channels_out[channel] = fn
-
-    # ------------------------------------------------------------------
-    # Compiled code
-    # ------------------------------------------------------------------
-    def compiled_pair(self, program: Program) -> tuple[list[tuple],
-                                                       list[tuple]]:
-        """``(plain, fused)`` threaded code, compiled once per program.
-
-        ``plain`` is the cost-1-per-slot form the run loop falls back to
-        near the step budget; ``fused`` is the peephole-optimized form
-        (the same list when the pass finds nothing, or is disabled).
-        """
-        pair = _threaded(program)
-        return pair if self.peephole else (pair[0], pair[0])
 
     # ------------------------------------------------------------------
     # Execution
@@ -914,27 +633,14 @@ class Interpreter:
         code: list[tuple] | None = None
         ncode = 0
         steps = state.steps
-        start_steps = steps
-        # Fused superinstructions advance ``steps`` by up to
-        # _FUSED_MAX_COST per dispatch; within that distance of the
-        # budget the loop drops to the plain cost-1 code so pauses and
-        # budget errors land on the exact naive instruction boundary.
-        guard = budget - (_FUSED_MAX_COST - 1)
         try:
             while not state.halted:
-                if steps >= guard:
-                    if steps >= budget:
-                        if pause_on_budget:
-                            return
-                        raise VmError(
-                            f"step budget {budget} exhausted in "
-                            f"{state.routine!r} (pc={state.pc})")
-                    if not context._precise:
-                        context._precise = True
-                        if code is not None:
-                            code = context._load_code()
-                            ncode = len(code)
-                    guard = budget
+                if steps >= budget:
+                    if pause_on_budget:
+                        return
+                    raise VmError(
+                        f"step budget {budget} exhausted in "
+                        f"{state.routine!r} (pc={state.pc})")
                 if code is None:
                     code = context._load_code()
                     ncode = len(code)
@@ -952,19 +658,12 @@ class Interpreter:
                 handler, arg = code[pc]
                 state.pc = pc + 1
                 steps += 1
-                r = handler(context, state, stack, arg)
-                if r:
-                    if r is True:
-                        # Routine switch (RET / WORD): reload its code.
-                        code = context._load_code()
-                        ncode = len(code)
-                    else:
-                        steps += r  # extra virtual steps a fusion absorbed
+                if handler(context, state, stack, arg):
+                    # Routine switch (RET / WORD): reload its code.
+                    code = context._load_code()
+                    ncode = len(code)
         finally:
-            # _extra_steps records sub-instructions a superinstruction
-            # completed before faulting; zero on every non-error path.
-            state.steps = steps + context._extra_steps
-            self.total_steps += steps + context._extra_steps - start_steps
+            state.steps = steps
 
 
 class ExecutionContext:
@@ -977,14 +676,8 @@ class ExecutionContext:
         self.memory = memory
         self.state: VmState = VmState(routine=program.name)
         self._programs: dict[str, Program] = {program.name: program}
-        self._codes_fast: dict[str, list[tuple]] = {}
-        self._codes_plain: dict[str, list[tuple]] = {}
+        self._codes: dict[str, list[tuple]] = {}
         self._max_stack = interpreter.max_stack
-        # True once the run loop is within a superinstruction's reach of
-        # its step budget: code loads switch to the plain cost-1 form.
-        self._precise = False
-        # Sub-instructions completed by a faulting superinstruction.
-        self._extra_steps = 0
 
     def current_program(self) -> Program:
         name = self.state.routine
@@ -1001,14 +694,9 @@ class ExecutionContext:
         word re-registered mid-run keeps the version it started with
         (the same pin ``current_program`` provides)."""
         name = self.state.routine
-        codes = self._codes_plain if self._precise else self._codes_fast
-        code = codes.get(name)
+        code = self._codes.get(name)
         if code is None:
-            plain, fused = self.interpreter.compiled_pair(
-                self.current_program())
-            self._codes_plain[name] = plain
-            self._codes_fast[name] = fused
-            code = plain if self._precise else fused
+            code = self._codes[name] = _threaded(self.current_program())
         return code
 
     # ------------------------------------------------------------------
@@ -1027,18 +715,8 @@ class ExecutionContext:
         return self.state.stack.pop()
 
     # ------------------------------------------------------------------
-    # Memory / channels / hosts / words
+    # Channels / hosts / words
     # ------------------------------------------------------------------
-    def load(self, slot: int) -> float:
-        if not 0 <= slot < len(self.memory):
-            raise VmError(f"LOAD slot {slot} out of range")
-        return self.memory[slot]
-
-    def store(self, slot: int, value: float) -> None:
-        if not 0 <= slot < len(self.memory):
-            raise VmError(f"STORE slot {slot} out of range")
-        self.memory[slot] = value
-
     def _channel_name(self, index: int) -> str:
         channels = self.current_program().channels or self.root_program.channels
         if not 0 <= index < len(channels):
@@ -1079,10 +757,3 @@ class ExecutionContext:
         self.state.rstack.append((self.state.routine, self.state.pc))
         self.state.routine = name
         self.state.pc = 0
-
-    def jump(self, target: int) -> None:
-        program = self.current_program()
-        if not 0 <= target <= len(program.instructions):
-            raise VmError(
-                f"jump target {target} out of range in {self.state.routine!r}")
-        self.state.pc = target

@@ -18,10 +18,12 @@ programs as host hooks via :func:`register_parametric_hooks`.
 
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 from repro.evm.attestation import attest_digest, verify_attestation
 from repro.evm.failover import ControllerMode
+from repro.evm.interpreter import VmError
 from repro.evm.optimizer import AssignmentProblem, AssignmentResult, bqp_assign
 from repro.evm.runtime import EvmRuntime
 from repro.evm.tasks import LogicalTask
@@ -191,17 +193,28 @@ def register_parametric_hooks(ops: NodeOperations) -> None:
     def task_count(ctx) -> None:
         ctx.push(float(len(runtime.kernel.task_names())))
 
+    def popped_sensor(ctx):
+        """The sensor at the popped index, or None past the node's last
+        one (a capsule can reach nodes with fewer sensors).  A non-finite
+        index faults the VM; ``int()`` would raise past the runtime's
+        VmError containment instead."""
+        value = ctx.pop()
+        if not math.isfinite(value):
+            raise VmError(f"sensor index {value!r} is not finite")
+        index = int(value)
+        sensors = runtime.kernel.node.sensors
+        names = sorted(sensors)
+        return sensors[names[index]] if 0 <= index < len(names) else None
+
     def sensor_enable(ctx) -> None:
-        index = int(ctx.pop())
-        names = sorted(runtime.kernel.node.sensors)
-        if 0 <= index < len(names):
-            runtime.kernel.node.sensors[names[index]].enable()
+        sensor = popped_sensor(ctx)
+        if sensor is not None:
+            sensor.enable()
 
     def sensor_disable(ctx) -> None:
-        index = int(ctx.pop())
-        names = sorted(runtime.kernel.node.sensors)
-        if 0 <= index < len(names):
-            runtime.kernel.node.sensors[names[index]].disable()
+        sensor = popped_sensor(ctx)
+        if sensor is not None:
+            sensor.disable()
 
     interpreter.register_host("get_time", get_time)
     interpreter.register_host("node_util", node_util)

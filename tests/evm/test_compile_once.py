@@ -36,7 +36,8 @@ NODES = ("n1", "n2", "n3")
 
 
 def _law(gain: float) -> Program:
-    # push;mul fuses, so the peephole form differs from the plain one.
+    # memory[1] = gain * memory[0]; the gain is in the blob, so each
+    # gain is a distinct capsule.
     return Assembler().assemble(
         f"load 0\npush {gain}\nmul\nstore 1\nhalt", name="compile-once-law")
 
@@ -173,7 +174,7 @@ class TestSignedZero:
 def test_cached_code_stays_off_the_program_value():
     """The code rides on the object only: ==, hash, repr, encode(),
     pickles and copies are those of a never-run program."""
-    source = "load 0\npush 2\nmax\nstore 1\nhalt"  # push;max fuses
+    source = "load 0\npush 2\nmax\nstore 1\nhalt"
     program = Assembler().assemble(source, name="p")
     fresh = Assembler().assemble(source, name="p")
     before = (repr(program), program.encode(), hash(program))

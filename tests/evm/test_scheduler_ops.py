@@ -12,6 +12,7 @@ from repro.evm.tasks import LogicalTask
 from repro.evm.virtual_component import VcMember, VirtualComponent
 from repro.evm.bytecode import Assembler
 from repro.evm.failover import ControllerMode
+from repro.evm.interpreter import VmError
 from repro.hardware.node import FireFlyNode
 from repro.rtos.kernel import NanoRK
 from repro.rtos.task import TaskSpec
@@ -227,3 +228,20 @@ class TestParametricHooks:
         runtime.interpreter.execute(program, [0.0] * 4)
         first = sorted(node.sensors)[0]
         assert not node.sensors[first].enabled
+
+    @pytest.mark.parametrize("index", [
+        "push inf\npush inf\nsub", "push inf", "push -inf"],
+        ids=["nan", "+inf", "-inf"])
+    @pytest.mark.parametrize("hook", ["sensor_enable", "sensor_disable"])
+    def test_non_finite_sensor_index_faults_the_vm(self, engine, hook,
+                                                    index):
+        """A computed index that ``int()`` cannot convert raises VmError,
+        which the runtime contains as a VM fault, and touches no sensor."""
+        node, _, _, runtime = build_node(engine, "a")
+        register_parametric_hooks(NodeOperations(runtime))
+        program = Assembler().assemble(
+            f".name bad\n.host {hook}\n{index}\nhost {hook}\nhalt")
+        before = {name: s.enabled for name, s in node.sensors.items()}
+        with pytest.raises(VmError, match="sensor index .* is not finite"):
+            runtime.interpreter.execute(program, [0.0] * 4)
+        assert {name: s.enabled for name, s in node.sensors.items()} == before

@@ -31,6 +31,7 @@ import dataclasses
 import hashlib
 import json
 from pathlib import Path
+from typing import Callable
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -336,11 +337,17 @@ class TestObsOnGoldenDigests:
 # Reference interpreter: the seed dispatch semantics, kept verbatim
 # ----------------------------------------------------------------------
 class _ReferenceVm:
-    """Straight transcription of the seed ``Interpreter._dispatch`` loop."""
+    """Straight transcription of the seed ``Interpreter._dispatch`` loop,
+    for the opcodes the generators below emit (OUT through the program's
+    own channel table)."""
 
     def __init__(self, max_stack: int = 64, max_steps: int = 100_000) -> None:
         self.max_stack = max_stack
         self.max_steps = max_steps
+        self._outputs: dict[str, Callable[[float], None]] = {}
+
+    def bind_output(self, channel: str, fn: Callable[[float], None]) -> None:
+        self._outputs[channel] = fn
 
     def execute(self, program: Program, memory: list[float]) -> VmState:
         state = VmState(routine=program.name)
@@ -456,6 +463,17 @@ class _ReferenceVm:
                 if not 0 <= ins.arg < len(memory):
                     raise VmError(f"STORE slot {ins.arg} out of range")
                 memory[ins.arg] = value
+            elif op is Opcode.OUT:
+                # Pop precedes channel validation (the seed's
+                # `context.write_channel(ins.arg, pop())`).
+                value = pop()
+                if not 0 <= ins.arg < len(program.channels):
+                    raise VmError(f"channel index {ins.arg} out of range")
+                name = program.channels[ins.arg]
+                fn = self._outputs.get(name)
+                if fn is None:
+                    raise VmError(f"no output bound for channel {name!r}")
+                fn(value)
             else:  # pragma: no cover - generator never emits the rest
                 raise AssertionError(f"unexpected opcode {op!r}")
         return state
@@ -487,14 +505,31 @@ _raw_ops = st.one_of(
 )
 
 
-def _build_program(ops: list[tuple[Opcode, float | int | None]]) -> Program:
+def _build_program(ops: list[tuple[Opcode, float | int | None]],
+                   name: str = "fuzz",
+                   channels: tuple[str, ...] = ()) -> Program:
     instructions = []
     n = len(ops)
     for op, arg in ops:
         if op in (Opcode.JMP, Opcode.JZ, Opcode.CALL):
             arg = int(arg) % (n + 2)
         instructions.append(Instruction(op, arg))
-    return Program("fuzz", instructions=tuple(instructions))
+    return Program(name, instructions=tuple(instructions), channels=channels)
+
+
+def _transcript(vm, program: Program, memory: list[float],
+                outputs: list[float] | None = None) -> str:
+    """Final state (or error string), memory image and, when given, the
+    OUT transcript -- JSON-canonicalized so NaN results compare equal to
+    themselves and -0.0 stays distinguishable from 0.0."""
+    try:
+        state = vm.execute(program, memory)
+        payload = {"state": state.snapshot(), "memory": memory}
+    except VmError as exc:
+        payload = {"error": str(exc), "memory": memory}
+    if outputs is not None:
+        payload["outputs"] = outputs
+    return json.dumps(payload, sort_keys=True)
 
 
 @settings(max_examples=200, deadline=None,
@@ -505,33 +540,23 @@ def _build_program(ops: list[tuple[Opcode, float | int | None]]) -> Program:
 def test_interpreter_matches_reference_semantics(ops, seed_mem):
     """Production interpreter == seed-semantics reference, byte for byte."""
     program = _build_program(ops)
-
-    def run(vm, memory):
-        # JSON-canonicalized so NaN results compare equal to themselves
-        # and -0.0 stays distinguishable from 0.0.
-        try:
-            state = vm.execute(program, memory)
-            return json.dumps({"state": state.snapshot(), "memory": memory},
-                              sort_keys=True)
-        except VmError as exc:
-            return json.dumps({"error": str(exc), "memory": memory},
-                              sort_keys=True)
-
-    expected = run(_ReferenceVm(max_steps=400), list(seed_mem))
+    expected = _transcript(_ReferenceVm(max_steps=400), program,
+                           list(seed_mem))
     # Twice through the production interpreter: the second run hits the
     # threaded-code cache, which must not change anything.
     interp = Interpreter(max_steps=400)
-    actual_cold = run(interp, list(seed_mem))
-    actual_warm = run(interp, list(seed_mem))
+    actual_cold = _transcript(interp, program, list(seed_mem))
+    actual_warm = _transcript(interp, program, list(seed_mem))
     assert actual_cold == expected
     assert actual_warm == expected
 
 
 # ----------------------------------------------------------------------
-# Peephole property: fused programs match the reference transcript
+# Idiom properties: idiom-dense programs match the reference transcript
 # ----------------------------------------------------------------------
-# Chunks shaped like the idioms the peephole pass fuses, so generated
-# programs hit fusion sites constantly instead of by uniform accident.
+# Chunks of common stack-code idioms (constant arithmetic, a write then a
+# read of one slot, load-and-branch, jump chains), so generated programs
+# contain them densely instead of by uniform accident.
 _consts = st.one_of(
     st.integers(min_value=-3, max_value=3).map(float),
     st.sampled_from([float("inf"), -0.0]))
@@ -541,21 +566,21 @@ _binops = st.sampled_from([
     Opcode.AND, Opcode.OR])
 
 _idiom_chunks = st.one_of(
-    # PUSH c; binop  -> push+binop fusion (DIV 0 exercises the no-fuse path)
+    # PUSH c; binop (DIV 0 exercises the division-by-zero path)
     st.tuples(_consts, _binops).map(
         lambda t: [(Opcode.PUSH, t[0]), (t[1], None)]),
-    # PUSH a; PUSH b; binop -> constant folding
+    # PUSH a; PUSH b; binop
     st.tuples(_consts, _consts, _binops).map(
         lambda t: [(Opcode.PUSH, t[0]), (Opcode.PUSH, t[1]), (t[2], None)]),
     st.just([(Opcode.DUP, None), (Opcode.DROP, None)]),
-    # STORE s; LOAD s -> write-through (11-12 exercise bad slots)
+    # STORE s; LOAD s (11-12 exercise bad slots)
     st.integers(min_value=0, max_value=12).map(
         lambda s: [(Opcode.STORE, s), (Opcode.LOAD, s)]),
-    # LOAD s; JZ t -> fused branch
+    # LOAD s; JZ t
     st.tuples(st.integers(min_value=0, max_value=12),
               st.integers(min_value=0, max_value=40)).map(
         lambda t: [(Opcode.LOAD, t[0]), (Opcode.JZ, t[1])]),
-    # JMP chains -> jump threading
+    # JMP chains
     st.integers(min_value=0, max_value=40).map(
         lambda t: [(Opcode.JMP, t)]),
     # Interleaved singles keep the patterns from aligning trivially.
@@ -569,29 +594,17 @@ _idiom_chunks = st.one_of(
        seed_mem=st.lists(st.integers(min_value=-2, max_value=2).map(float),
                          min_size=10, max_size=10),
        budget=st.integers(min_value=1, max_value=400))
-def test_peephole_matches_reference_transcript(chunks, seed_mem, budget):
-    """Peephole-fused, plain-threaded and seed-reference execution agree
-    instruction for instruction -- final state, memory image, error
-    string -- at *every* step budget, including budgets that would land
-    mid-superinstruction (the precise-mode fallback)."""
+def test_idioms_match_reference_transcript(chunks, seed_mem, budget):
+    """Threaded and seed-reference execution of idiom-dense programs
+    agree instruction for instruction -- final state, memory image, error
+    string -- at *every* step budget."""
     ops = [op for chunk in chunks for op in chunk]
     program = _build_program(ops)
-
-    def run(vm, memory):
-        try:
-            state = vm.execute(program, memory)
-            return json.dumps({"state": state.snapshot(), "memory": memory},
-                              sort_keys=True)
-        except VmError as exc:
-            return json.dumps({"error": str(exc), "memory": memory},
-                              sort_keys=True)
-
-    expected = run(_ReferenceVm(max_steps=budget), list(seed_mem))
-    fused = run(Interpreter(max_steps=budget), list(seed_mem))
-    plain = run(Interpreter(max_steps=budget, peephole=False),
-                list(seed_mem))
-    assert fused == expected
-    assert plain == expected
+    expected = _transcript(_ReferenceVm(max_steps=budget), program,
+                           list(seed_mem))
+    actual = _transcript(Interpreter(max_steps=budget), program,
+                         list(seed_mem))
+    assert actual == expected
 
 
 @settings(max_examples=100, deadline=None,
@@ -599,41 +612,26 @@ def test_peephole_matches_reference_transcript(chunks, seed_mem, budget):
 @given(chunks=st.lists(_idiom_chunks, min_size=1, max_size=8),
        seed_mem=st.lists(st.integers(min_value=-2, max_value=2).map(float),
                          min_size=10, max_size=10))
-def test_peephole_preserves_observable_effects(chunks, seed_mem):
+def test_output_transcript_matches_reference(chunks, seed_mem):
     """The OUT-channel effect transcript (every value written, in order)
-    is identical with and without the peephole pass."""
+    matches the reference's, along with the final state or error."""
     ops = [op for chunk in chunks for op in chunk]
     # Splice OUT instructions between chunks so effects interleave with
-    # fusion sites; channel 0 resolves through the root program's table.
+    # the idioms; channel 0 resolves through the program's channel table.
     spliced = []
     for i, op in enumerate(ops):
         spliced.append(op)
         if i % 3 == 2:
             spliced.append((Opcode.OUT, 0))
-    program_ops = spliced
-    instructions = []
-    n = len(program_ops)
-    for op, arg in program_ops:
-        if op in (Opcode.JMP, Opcode.JZ, Opcode.CALL):
-            arg = int(arg) % (n + 2)
-        instructions.append(Instruction(op, arg))
-    program = Program("fuzz-out", instructions=tuple(instructions),
-                      channels=("tap",))
+    program = _build_program(spliced, name="fuzz-out", channels=("tap",))
 
-    def run(peephole: bool):
+    def run(vm):
         outputs: list[float] = []
-        interp = Interpreter(max_steps=400, peephole=peephole)
-        interp.bind_output("tap", outputs.append)
-        memory = list(seed_mem)
-        try:
-            state = interp.execute(program, memory)
-            return json.dumps({"state": state.snapshot(), "memory": memory,
-                               "outputs": outputs}, sort_keys=True)
-        except VmError as exc:
-            return json.dumps({"error": str(exc), "memory": memory,
-                               "outputs": outputs}, sort_keys=True)
+        vm.bind_output("tap", outputs.append)
+        return _transcript(vm, program, list(seed_mem), outputs)
 
-    assert run(True) == run(False)
+    assert (run(Interpreter(max_steps=400))
+            == run(_ReferenceVm(max_steps=400)))
 
 
 class TestSeedEdgeSemantics:
@@ -642,19 +640,10 @@ class TestSeedEdgeSemantics:
 
     def _both(self, instructions, memory):
         program = Program("edge", instructions=tuple(instructions))
-
-        def run(vm):
-            mem = list(memory)
-            try:
-                state = vm.execute(program, mem)
-                return json.dumps({"state": state.snapshot(), "memory": mem},
-                                  sort_keys=True)
-            except VmError as exc:
-                return json.dumps({"error": str(exc), "memory": mem},
-                                  sort_keys=True)
-
-        expected = run(_ReferenceVm(max_steps=400))
-        actual = run(Interpreter(max_steps=400))
+        expected = _transcript(_ReferenceVm(max_steps=400), program,
+                               list(memory))
+        actual = _transcript(Interpreter(max_steps=400), program,
+                             list(memory))
         assert actual == expected
         return actual
 
