@@ -88,10 +88,8 @@ class FailoverPolicy:
     T3 - T2 = 200 s).
     """
 
-    detection_threshold: int = 3
     demote_mode: ControllerMode = ControllerMode.INDICATOR
     dormant_delay_ticks: int = 200 * 1_000_000
-    reactivation_allowed: bool = True
 
 
 @dataclass

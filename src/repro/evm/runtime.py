@@ -54,6 +54,7 @@ from repro.sim.clock import MS, SEC
 from repro.sim.trace import Trace
 
 EVM_TASK_NAME = "EVM"
+HOUSEKEEPING_PERIOD_TICKS = 100 * MS
 
 
 @dataclass
@@ -63,6 +64,11 @@ class StateSharingPolicy:
     mode: str = "active"            # "active" (recompute) or "passive"
     snapshot_every_jobs: int = 4    # passive: snapshot cadence
     snapshot_slots: int = 10        # memory slots per snapshot (slot budget)
+
+    def __post_init__(self) -> None:
+        if self.mode not in ("active", "passive"):
+            raise ValueError(f"state sharing mode must be 'active' or "
+                             f"'passive', not {self.mode!r}")
 
 
 @dataclass
@@ -82,9 +88,6 @@ class RuntimeStats:
     vm_faults: int = 0
     capsules_installed: int = 0
     messages_handled: int = 0
-    capsule_rebroadcasts_suppressed: int = 0
-    snapshots_stale_dropped: int = 0
-    mode_duplicates_dropped: int = 0
 
 
 class HostedInstance:
@@ -146,9 +149,6 @@ class EvmRuntime:
         failover_policy: FailoverPolicy | None = None,
         state_sharing: StateSharingPolicy | None = None,
         arbitration_holdoff_ticks: int = 0,
-        housekeeping_period_ticks: int = 100 * MS,
-        evm_priority: int = 0,
-        flood_suppress_threshold: int = 0,
     ) -> None:
         self.kernel = kernel
         self.engine = kernel.engine
@@ -157,18 +157,6 @@ class EvmRuntime:
         self.trace = trace
         self.policy = failover_policy or FailoverPolicy()
         self.state_sharing = state_sharing or StateSharingPolicy()
-        # Bounds the VC's broadcast storm on dense meshes, where every
-        # broadcast reaches every runtime once per flood and each capsule
-        # adopter becomes a fresh flood origin.  0 (the default) keeps
-        # every mechanism off, bit for bit; N > 0 turns all three on:
-        # - a freshly adopted capsule is not re-disseminated once its
-        #   fragments were heard from N distinct spreaders;
-        # - passive-sharing snapshots whose job counter does not advance
-        #   on the last one applied (re-ordered or duplicated flood
-        #   copies) are dropped;
-        # - each exact mode-change broadcast is applied once (re-applies
-        #   are idempotent, so this only saves bookkeeping).
-        self.flood_suppress_threshold = flood_suppress_threshold
         self.arbitration_holdoff_ticks = arbitration_holdoff_ticks
         self.stats = RuntimeStats()
         self.interpreter = Interpreter()
@@ -177,12 +165,6 @@ class EvmRuntime:
         self.instances: dict[str, HostedInstance] = {}
         self.monitors: list[_MonitorState] = []
         self._capsule_buffers: dict[tuple, dict[int, bytes]] = {}
-        # Flood-suppression caches: spreaders heard per capsule version,
-        # last snapshot job counter applied per (src, task), and the set
-        # of mode broadcasts already applied.
-        self._capsule_sources: dict[tuple, set[str]] = {}
-        self._snapshot_seq: dict[tuple[str, str], int] = {}
-        self._modes_applied: set[tuple] = set()
         # Local view of each task's primary (the OS-1 operation switch).
         self.task_primaries: dict[str, tuple[str, int]] = {}
         self.head_id: str | None = None
@@ -196,7 +178,7 @@ class EvmRuntime:
             engine=self.engine, node_id=self.node_id,
             send=self._send_message, can_accept=self._migration_can_accept,
             install=self._migration_install, trace=trace)
-        self._install_evm_task(housekeeping_period_ticks, evm_priority)
+        self._install_evm_task()
         if self.kernel.mac is not None:
             self.kernel.mac.set_receive_handler(self.deliver)
 
@@ -211,9 +193,9 @@ class EvmRuntime:
     # ------------------------------------------------------------------
     # Setup
     # ------------------------------------------------------------------
-    def _install_evm_task(self, period: int, priority: int) -> None:
+    def _install_evm_task(self) -> None:
         spec = TaskSpec(name=EVM_TASK_NAME, wcet_ticks=1 * MS,
-                        period_ticks=period, priority=priority,
+                        period_ticks=HOUSEKEEPING_PERIOD_TICKS, priority=0,
                         stack_bytes=512)
         self.kernel.create_task(spec, self._housekeeping, admit=False)
 
@@ -530,12 +512,6 @@ class EvmRuntime:
                                                   (packet.src, 0))
         if packet.src != primary:
             return
-        if self.flood_suppress_threshold:
-            key = (packet.src, payload["task"])
-            if payload["jobs"] <= self._snapshot_seq.get(key, -1):
-                self.stats.snapshots_stale_dropped += 1
-                return
-            self._snapshot_seq[key] = payload["jobs"]
         memory = payload["memory"]
         instance.memory[:len(memory)] = memory
         self.stats.snapshots_applied += 1
@@ -671,16 +647,6 @@ class EvmRuntime:
 
     def _apply_mode_change(self, payload: dict) -> None:
         task_name = payload["task"]
-        if self.flood_suppress_threshold:
-            # Re-applying an identical mode broadcast is idempotent; the
-            # applied-set just skips the redundant bookkeeping (relayed
-            # flood copies on dense meshes).
-            fingerprint = (task_name, payload["epoch"], payload["primary"],
-                           tuple(sorted(payload["modes"].items())))
-            if fingerprint in self._modes_applied:
-                self.stats.mode_duplicates_dropped += 1
-                return
-            self._modes_applied.add(fingerprint)
         known_primary, known_epoch = self.task_primaries.get(task_name,
                                                              ("", -1))
         if payload["epoch"] < known_epoch:
@@ -721,19 +687,13 @@ class EvmRuntime:
 
     # -- capsules / membership / halt -------------------------------------
     def _on_capsule(self, packet: Packet) -> None:
-        capsule: Capsule = packet.payload
-        if self.flood_suppress_threshold:
-            self._capsule_sources.setdefault(
-                (capsule.name, capsule.version), set()).add(packet.src)
-        self._adopt_capsule(capsule)
+        self._adopt_capsule(packet.payload)
 
     def _on_capsule_fragment(self, packet: Packet) -> None:
         payload = packet.payload
         key = (payload["name"], payload["version"])
         if self.capsules.has(payload["name"], payload["version"]):
             return  # already current; ignore the re-broadcast storm
-        if self.flood_suppress_threshold:
-            self._capsule_sources.setdefault(key, set()).add(packet.src)
         buffer = self._capsule_buffers.setdefault(key, {})
         buffer[payload["index"]] = payload["chunk"]
         if len(buffer) < payload["total"]:
@@ -753,17 +713,8 @@ class EvmRuntime:
             return
         if was_new:
             self.stats.capsules_installed += 1
-            # Viral dissemination: news travels onward -- unless enough
-            # distinct spreaders were already heard pushing this exact
-            # version, in which case the neighborhood is covered and one
-            # more flood origin only adds to the storm.
-            bound = self.flood_suppress_threshold
-            heard = self._capsule_sources.pop(
-                (capsule.name, capsule.version), ())
-            if bound and len(heard) >= bound:
-                self.stats.capsule_rebroadcasts_suppressed += 1
-            else:
-                self._disseminate_capsule(capsule)
+            # Viral dissemination: news travels onward.
+            self._disseminate_capsule(capsule)
 
     def _on_hello(self, packet: Packet) -> None:
         if not self.is_head:

@@ -25,7 +25,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.control.compiler import SLOT_INPUT, SLOT_OUTPUT, SLOT_SETPOINT
+from repro.control.compiler import (
+    SLOT_INPUT,
+    SLOT_OUTPUT,
+    SLOT_SETPOINT,
+    compile_passthrough,
+)
 from repro.control.controller import ControlLawConfig
 from repro.evm.capsule import Capsule
 from repro.evm.failover import ControllerMode, FailoverPolicy
@@ -199,7 +204,7 @@ class HilRig:
             node.join_timesync(self.sync)
             port = self.medium.attach(node)
             mac = RtLinkMac(self.engine, node, port, self.schedule,
-                            queue_capacity=32, trace=None)
+                            queue_capacity=32)
             self.nodes[node_id] = node
             self.macs[node_id] = mac
 
@@ -236,9 +241,9 @@ class HilRig:
         level0 = self.plant.flowsheet.read("lts_level_pct")
         ctrl_memory = control_config.initial_memory(level0, nominal)
         period = cfg.control_period_ticks
-        self.sensor_program = _passthrough_program("lts_sensor_law")
+        self.sensor_program = compile_passthrough("lts_sensor_law")
         self.ctrl_program = control_config.compile("lts_ctrl_law")
-        self.act_program = _passthrough_program("lts_act_law")
+        self.act_program = compile_passthrough("lts_act_law")
         self.vc.add_task(LogicalTask(
             name=TASK_SENSOR, program_name="lts_sensor_law",
             period_ticks=period, wcet_ticks=2 * MS, priority=5,
@@ -297,7 +302,6 @@ class HilRig:
                 capabilities=self.capabilities[node_id],
                 trace=self.trace,
                 failover_policy=FailoverPolicy(
-                    detection_threshold=cfg.detection_threshold,
                     demote_mode=ControllerMode.INDICATOR,
                     dormant_delay_ticks=cfg.dormant_delay_ticks),
                 state_sharing=StateSharingPolicy(
@@ -419,9 +423,3 @@ class HilRig:
 
     def read(self, sensor: str) -> float:
         return self.plant.flowsheet.read(sensor)
-
-
-def _passthrough_program(name: str):
-    from repro.control.compiler import compile_passthrough
-
-    return compile_passthrough(name, gain=1.0, offset=0.0)

@@ -308,11 +308,9 @@ class WideGridRig:
 
     # ------------------------------------------------------------------
     def _build_runtimes(self) -> None:
-        cfg = self.config
         programs = [compile_passthrough("grid_sensor_law", gain=1.0),
                     compile_passthrough("grid_ctrl_law", gain=CTRL_GAIN),
                     compile_passthrough("grid_act_law", gain=1.0)]
-        suppress_threshold, _ = cfg.flood_suppression()
         self.kernels: dict[str, NanoRK] = {}
         self.runtimes: dict[str, EvmRuntime] = {}
         for node_id in sorted(self.topology.node_ids):
@@ -325,10 +323,7 @@ class WideGridRig:
             runtime = EvmRuntime(
                 kernel, self.vc,
                 capabilities=self.capabilities[node_id], trace=self.trace,
-                failover_policy=FailoverPolicy(
-                    detection_threshold=cfg.detection_threshold,
-                    dormant_delay_ticks=60 * SEC),
-                flood_suppress_threshold=suppress_threshold)
+                failover_policy=FailoverPolicy(dormant_delay_ticks=60 * SEC))
             for program in programs:
                 runtime.install_capsule(Capsule.from_program(program, 1))
             runtime.configure_from_vc(head_id=self.head)

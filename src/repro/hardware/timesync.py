@@ -69,11 +69,10 @@ class AmTimeSync:
     """Region-wide AM pulse generator driving all registered node clocks."""
 
     def __init__(self, engine: Engine, rng: random.Random,
-                 spec: TimeSyncSpec | None = None, trace=None) -> None:
+                 spec: TimeSyncSpec | None = None) -> None:
         self.engine = engine
         self.rng = rng
         self.spec = spec or TimeSyncSpec()
-        self.trace = trace
         self._clocks: dict[str, NodeClock] = {}
         self.jitter_samples: list[int] = []
         self.pulse_count = 0
@@ -103,7 +102,7 @@ class AmTimeSync:
         if not self._running:
             return
         self.pulse_count += 1
-        for node_id, clock in self._clocks.items():
+        for clock in self._clocks.values():
             if (self.spec.miss_probability > 0.0
                     and self.rng.random() < self.spec.miss_probability):
                 clock.note_missed_sync()
@@ -111,9 +110,6 @@ class AmTimeSync:
             jitter = self._draw_jitter()
             clock.apply_sync(jitter)
             self.jitter_samples.append(jitter)
-            if self.trace is not None:
-                self.trace.record(self.engine.now, "timesync.pulse", node_id,
-                                  jitter=jitter)
         self.engine.post(self.spec.period_ticks, self._pulse, priority=-10)
 
     def max_abs_jitter(self) -> int:

@@ -8,7 +8,7 @@ ModBus register gateway that bridges the radio network to the plant
 simulator.
 """
 
-from repro.net.link_quality import LinkQualityModel, PathLossModel, PerfectLinks
+from repro.net.link_quality import LinkQualityModel, PerfectLinks
 from repro.net.medium import Medium
 from repro.net.packet import BROADCAST, Packet
 from repro.net.topology import Topology
@@ -19,6 +19,5 @@ __all__ = [
     "Topology",
     "Medium",
     "LinkQualityModel",
-    "PathLossModel",
     "PerfectLinks",
 ]

@@ -1,41 +1,31 @@
 """Per-link packet-reception models.
 
 The medium asks the link-quality model one question per (link, frame):
-did this frame survive the channel?  Every model answers through the same
-pair of link-aware calls, :meth:`LinkQualityModel.frame_survives` and
-:meth:`LinkQualityModel.expected_prr`, which name the sending and
+did this frame survive the channel?  Every model answers it through
+:meth:`LinkQualityModel.frame_survives`, which names the sending and
 receiving node.  Implementations:
 
 - :class:`PerfectLinks` -- every in-range frame survives (unit tests,
   protocol-logic experiments);
 - :class:`FixedPrr` -- uniform i.i.d. loss at a fixed ratio;
-- :class:`DegradedLinks` -- a fault-injection wrapper over another model;
-- :class:`PathLossModel` -- log-distance path loss mapped to a packet
-  reception ratio via a logistic curve, the standard low-power-wireless
-  abstraction; good links saturate near ``prr_ceiling``.
+- :class:`DegradedLinks` -- a fault-injection wrapper over another model.
 """
 
 from __future__ import annotations
 
-import math
 import random
 
 
 class LinkQualityModel:
     """Interface: decide per-frame survival for a directed link.
 
-    Both calls name the link's endpoints.  Models that treat every link
+    The call names the link's endpoints.  Models that treat every link
     alike ignore them; wrappers such as :class:`DegradedLinks` use them to
     target specific links.
     """
 
     def frame_survives(self, sender: str, receiver: str, distance_m: float,
                        size_bytes: int, rng: random.Random) -> bool:
-        raise NotImplementedError
-
-    def expected_prr(self, sender: str, receiver: str, distance_m: float,
-                     size_bytes: int = 32) -> float:
-        """Expected packet reception ratio (diagnostics/benchmarks)."""
         raise NotImplementedError
 
 
@@ -45,10 +35,6 @@ class PerfectLinks(LinkQualityModel):
     def frame_survives(self, sender: str, receiver: str, distance_m: float,
                        size_bytes: int, rng: random.Random) -> bool:
         return True
-
-    def expected_prr(self, sender: str, receiver: str, distance_m: float,
-                     size_bytes: int = 32) -> float:
-        return 1.0
 
 
 class FixedPrr(LinkQualityModel):
@@ -62,10 +48,6 @@ class FixedPrr(LinkQualityModel):
     def frame_survives(self, sender: str, receiver: str, distance_m: float,
                        size_bytes: int, rng: random.Random) -> bool:
         return rng.random() < self.prr
-
-    def expected_prr(self, sender: str, receiver: str, distance_m: float,
-                     size_bytes: int = 32) -> float:
-        return self.prr
 
 
 class DegradedLinks(LinkQualityModel):
@@ -103,61 +85,3 @@ class DegradedLinks(LinkQualityModel):
         if self._degrades(sender, receiver):
             return survives and rng.random() < self.prr
         return survives
-
-    def expected_prr(self, sender: str, receiver: str, distance_m: float,
-                     size_bytes: int = 32) -> float:
-        base = self.base.expected_prr(sender, receiver, distance_m,
-                                      size_bytes)
-        if self._degrades(sender, receiver):
-            return base * self.prr
-        return base
-
-
-class PathLossModel(LinkQualityModel):
-    """Log-distance path loss -> SNR -> logistic PRR.
-
-    ``reference_distance_m`` receives ``snr_at_reference`` dB of margin;
-    each doubling of distance costs ``3.01 * path_loss_exponent`` dB.  The
-    margin maps to a per-byte survival probability through a logistic curve,
-    so longer frames fare worse, as on real 802.15.4 links.
-    """
-
-    def __init__(
-        self,
-        reference_distance_m: float = 10.0,
-        snr_at_reference: float = 12.0,
-        path_loss_exponent: float = 3.0,
-        shadowing_std_db: float = 2.0,
-        prr_ceiling: float = 0.999,
-    ) -> None:
-        if reference_distance_m <= 0:
-            raise ValueError("reference distance must be positive")
-        self.reference_distance_m = reference_distance_m
-        self.snr_at_reference = snr_at_reference
-        self.path_loss_exponent = path_loss_exponent
-        self.shadowing_std_db = shadowing_std_db
-        self.prr_ceiling = prr_ceiling
-
-    def _margin_db(self, distance_m: float) -> float:
-        d = max(distance_m, 0.1)
-        loss = 10.0 * self.path_loss_exponent * math.log10(
-            d / self.reference_distance_m)
-        return self.snr_at_reference - loss
-
-    def _byte_success(self, margin_db: float) -> float:
-        # Logistic in SNR margin: ~0.5 at 0 dB, saturating by ~6 dB.
-        p = 1.0 / (1.0 + math.exp(-1.2 * margin_db))
-        return min(self.prr_ceiling ** (1.0 / 64.0), p)
-
-    def expected_prr(self, sender: str, receiver: str, distance_m: float,
-                     size_bytes: int = 32) -> float:
-        margin = self._margin_db(distance_m)
-        return self._byte_success(margin) ** max(1, size_bytes)
-
-    def frame_survives(self, sender: str, receiver: str, distance_m: float,
-                       size_bytes: int, rng: random.Random) -> bool:
-        margin = self._margin_db(distance_m)
-        if self.shadowing_std_db > 0:
-            margin += rng.gauss(0.0, self.shadowing_std_db)
-        prr = self._byte_success(margin) ** max(1, size_bytes)
-        return rng.random() < prr

@@ -16,7 +16,6 @@ from repro.hardware.node import FireFlyNode
 from repro.net.medium import MediumPort
 from repro.net.packet import Packet
 from repro.sim.engine import Engine
-from repro.sim.trace import Trace
 
 
 @dataclass
@@ -42,11 +41,10 @@ class MacProtocol:
     """
 
     def __init__(self, engine: Engine, node: FireFlyNode, port: MediumPort,
-                 queue_capacity: int = 16, trace: Trace | None = None) -> None:
+                 queue_capacity: int = 16) -> None:
         self.engine = engine
         self.node = node
         self.port = port
-        self.trace = trace
         # Two drain levels: control frames (priority 0) always leave
         # before bulk frames (priority 1) -- migrations must not starve
         # heartbeats/actuation on the shared slot.
@@ -129,20 +127,9 @@ class MacProtocol:
         self.stats.received += 1
         self.stats.delivery_latencies.append(
             self.engine.now - packet.created_at)
-        if self.trace is not None:
-            self.trace.record(self.engine.now, "mac.deliver", self.node_id,
-                              kind=packet.kind, src=packet.src,
-                              seq=packet.seq)
         if self.receive_handler is not None:
             self.receive_handler(packet)
 
     def _accept(self, packet: Packet) -> bool:
         """Destination filter; protocol frames may be intercepted earlier."""
         return packet.is_broadcast or packet.dst == self.node_id
-
-    def _note_sent(self, packet: Packet) -> None:
-        self.stats.sent += 1
-        if self.trace is not None:
-            self.trace.record(self.engine.now, "mac.tx", self.node_id,
-                              kind=packet.kind, dst=packet.dst,
-                              seq=packet.seq)

@@ -43,8 +43,8 @@ class BMac(MacProtocol):
     """Per-node low-power-listen CSMA engine."""
 
     def __init__(self, engine, node, port, config: BMacConfig | None = None,
-                 queue_capacity: int = 16, trace=None) -> None:
-        super().__init__(engine, node, port, queue_capacity, trace)
+                 queue_capacity: int = 16) -> None:
+        super().__init__(engine, node, port, queue_capacity)
         self.config = config or BMacConfig()
         self.rng = node.rng
         self._listen_process: Process | None = None
@@ -139,7 +139,7 @@ class BMac(MacProtocol):
         if self.node.failed:
             return
         airtime = self.port.transmit(packet, after_state=RadioState.OFF)
-        self._note_sent(packet)
+        self.stats.sent += 1
         yield Delay(airtime)
         self.port.sleep()
 

@@ -138,8 +138,8 @@ class RtLinkMac(MacProtocol):
     """Per-node RT-Link state machine."""
 
     def __init__(self, engine, node, port, schedule: RtLinkSchedule,
-                 queue_capacity: int = 16, trace=None) -> None:
-        super().__init__(engine, node, port, queue_capacity, trace)
+                 queue_capacity: int = 16) -> None:
+        super().__init__(engine, node, port, queue_capacity)
         self.schedule = schedule
         self.config = schedule.config
         self._process: Process | None = None
@@ -247,7 +247,7 @@ class RtLinkMac(MacProtocol):
                 break
             self.dequeue()
             self.port.transmit(packet, after_state=RadioState.IDLE)
-            self._note_sent(packet)
+            self.stats.sent += 1
             transmitted += 1
             yield Delay(airtime)
         if transmitted:

@@ -39,8 +39,8 @@ class SMac(MacProtocol):
     """Per-node listen/sleep engine with CSMA contention in listen windows."""
 
     def __init__(self, engine, node, port, config: SMacConfig | None = None,
-                 queue_capacity: int = 16, trace=None) -> None:
-        super().__init__(engine, node, port, queue_capacity, trace)
+                 queue_capacity: int = 16) -> None:
+        super().__init__(engine, node, port, queue_capacity)
         self.config = config or SMacConfig()
         self.rng = node.rng
         self._process: Process | None = None
@@ -103,7 +103,7 @@ class SMac(MacProtocol):
                 packet = self.dequeue()
                 airtime = self.port.transmit(packet,
                                              after_state=RadioState.RX)
-                self._note_sent(packet)
+                self.stats.sent += 1
                 yield Delay(airtime + 200 * US)
         # Idle-listen until the window closes (the S-MAC energy cost).
         remaining = listen_end - self.engine.now

@@ -30,7 +30,6 @@ from repro.obs.metrics import (  # noqa: F401 - re-exports
     Histogram,
     MetricsRegistry,
     delta_values,
-    merge_values,
 )
 
 __all__ = [
@@ -39,7 +38,6 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "delta_values",
-    "merge_values",
     "enabled",
     "enable",
     "disable",

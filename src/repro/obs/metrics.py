@@ -24,13 +24,15 @@ Two export faces:
   JSON-able dumps, the latter a flat ``series-key -> value`` map built
   for :func:`delta_values` (per-run JSONL snapshots diff a worker's
   cumulative registry around one campaign run).
+
+Both faces read only the registered series; nothing is computed or
+called at export time.
 """
 
 from __future__ import annotations
 
 import threading
-import time
-from typing import Any, Callable, Iterable
+from typing import Any
 
 __all__ = [
     "Counter",
@@ -129,28 +131,9 @@ class Histogram:
                 return
         self.counts[-1] += 1
 
-    def time(self) -> "_WallTimer":
-        """``with hist.time():`` -- observe the wall-clock duration."""
-        return _WallTimer(self)
-
-
-class _WallTimer:
-    __slots__ = ("_histogram", "_start")
-
-    def __init__(self, histogram: Histogram) -> None:
-        self._histogram = histogram
-        self._start = 0.0
-
-    def __enter__(self) -> "_WallTimer":
-        self._start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self._histogram.observe(time.perf_counter() - self._start)
-
 
 class MetricsRegistry:
-    """Owns every metric series plus callback gauges sampled at export.
+    """Owns every metric series.
 
     ``counter``/``gauge``/``histogram`` are get-or-create: the same
     ``(name, labels)`` always returns the same object, so instrumented
@@ -164,7 +147,6 @@ class MetricsRegistry:
         self._kinds: dict[str, str] = {}
         self._help: dict[str, str] = {}
         self._buckets: dict[str, tuple[float, ...]] = {}
-        self._callbacks: dict[str, Callable[[], float]] = {}
         # Per-registry cache of instrument bundles (repro.obs.instrument):
         # one bundle object per instrumented layer per registry.
         self.bundles: dict[type, Any] = {}
@@ -214,36 +196,12 @@ class MetricsRegistry:
             lambda k: Histogram(name, k, self._buckets[name]),
             "histogram", name, help, labels)
 
-    def register_callback(self, name: str, fn: Callable[[], float],
-                          help: str = "") -> None:
-        """A gauge whose value is computed at export time (``fn()``).
-        Zero cost on every hot path; the exporter pays the sample."""
-        with self._lock:
-            pinned = self._kinds.setdefault(name, "gauge")
-            if pinned != "gauge":
-                raise ValueError(
-                    f"metric {name!r} already registered as {pinned}")
-            if help and name not in self._help:
-                self._help[name] = help
-            self._callbacks[name] = fn
-
     # ------------------------------------------------------------------
     # Export
     # ------------------------------------------------------------------
     def _sorted_series(self) -> list[Any]:
         with self._lock:
             return [self._series[key] for key in sorted(self._series)]
-
-    def _sampled_callbacks(self) -> list[tuple[str, float]]:
-        with self._lock:
-            callbacks = list(self._callbacks.items())
-        sampled = []
-        for name, fn in sorted(callbacks):
-            try:
-                sampled.append((name, float(fn())))
-            except Exception:  # noqa: BLE001 - a dead callback must not
-                continue       # take the whole exposition down
-        return sampled
 
     def render_prometheus(self) -> str:
         """The text exposition (``text/plain; version=0.0.4``)."""
@@ -276,9 +234,6 @@ class MetricsRegistry:
                 lines.append(f"{series.name}_count{labels} {series.count}")
             else:
                 lines.append(f"{series.name}{labels} {series.value:g}")
-        for name, value in self._sampled_callbacks():
-            header(name, "gauge")
-            lines.append(f"{name} {value:g}")
         return "\n".join(lines) + "\n"
 
     def snapshot(self) -> dict[str, Any]:
@@ -301,10 +256,6 @@ class MetricsRegistry:
             else:
                 sample["value"] = series.value
             entry["samples"].append(sample)
-        for name, value in self._sampled_callbacks():
-            out[name] = {"kind": "gauge",
-                         "help": self._help.get(name, ""),
-                         "samples": [{"labels": {}, "value": value}]}
         return out
 
     def values(self) -> dict[str, float]:
@@ -343,13 +294,4 @@ def delta_values(before: dict[str, float],
         delta = value - before.get(key, 0.0)
         if delta:
             out[key] = delta
-    return out
-
-
-def merge_values(rows: Iterable[dict[str, float]]) -> dict[str, float]:
-    """Sum a set of :func:`delta_values` rows (cross-run aggregation)."""
-    out: dict[str, float] = {}
-    for row in rows:
-        for key, value in row.items():
-            out[key] = out.get(key, 0.0) + value
     return out

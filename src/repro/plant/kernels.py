@@ -5,9 +5,9 @@
 ``(molar_flow, fractions, temperature, pressure)`` tuples flowing
 between :class:`~repro.plant.ports.StreamPort` cells, so steady-state
 stepping allocates no ``Stream``/``Composition`` objects at all.  The
-separator and column kernels are unrolled over the stock seven-species
-vector; at any other species width those units step through their
-scalar ``step()``.
+separator and column kernels, and the one- and two-stream mixes, are
+unrolled over the fixed seven-species vector of
+:data:`~repro.plant.components.SPECIES`.
 
 Bit-identity contract: every kernel replays its unit's ``step()``
 float operations in the exact same order -- the sequential
@@ -29,10 +29,6 @@ from repro.plant.units.column import _BASE_RECOVERY, _C3_I, _IC4_I, _NC4_I
 # so the constructor adopts the vector unchanged).
 _C3_PURE: list[float] = [1.0 if i == _C3_I else 0.0
                          for i in range(N_SPECIES)]
-
-# The scalarized fast paths unroll species vectors into locals; they
-# only apply at the stock species count.
-_SEVEN = N_SPECIES == 7
 
 
 def _read(source):
@@ -77,59 +73,43 @@ def _mix_raw(live):
         mf, fractions, t, p = live[0]
         total = 0.0 + mf
         temp = 0.0 + t * mf / total
-        if _SEVEN:
-            f0, f1, f2, f3, f4, f5, f6 = fractions
-            g0 = 0.0 + mf * f0
-            g1 = 0.0 + mf * f1
-            g2 = 0.0 + mf * f2
-            g3 = 0.0 + mf * f3
-            g4 = 0.0 + mf * f4
-            g5 = 0.0 + mf * f5
-            g6 = 0.0 + mf * f6
-            ftotal = 0.0 + g0 + g1 + g2 + g3 + g4 + g5 + g6
-            if ftotal != 1.0:
-                flows = [g0 / ftotal, g1 / ftotal, g2 / ftotal,
-                         g3 / ftotal, g4 / ftotal, g5 / ftotal,
-                         g6 / ftotal]
-            else:
-                flows = [g0, g1, g2, g3, g4, g5, g6]
-            return total, flows, temp, p
-        flows = [0.0 + mf * f for f in fractions]
-        ftotal = 0.0
-        for v in flows:
-            ftotal += v
+        f0, f1, f2, f3, f4, f5, f6 = fractions
+        g0 = 0.0 + mf * f0
+        g1 = 0.0 + mf * f1
+        g2 = 0.0 + mf * f2
+        g3 = 0.0 + mf * f3
+        g4 = 0.0 + mf * f4
+        g5 = 0.0 + mf * f5
+        g6 = 0.0 + mf * f6
+        ftotal = 0.0 + g0 + g1 + g2 + g3 + g4 + g5 + g6
         if ftotal != 1.0:
-            flows = [v / ftotal for v in flows]
+            flows = [g0 / ftotal, g1 / ftotal, g2 / ftotal,
+                     g3 / ftotal, g4 / ftotal, g5 / ftotal,
+                     g6 / ftotal]
+        else:
+            flows = [g0, g1, g2, g3, g4, g5, g6]
         return total, flows, temp, p
     if n == 2:
         (amf, afr, at, ap), (bmf, bfr, bt, bp) = live
         total = 0.0 + amf + bmf
         temp = 0.0 + at * amf / total + bt * bmf / total
         pressure = bp if bp < ap else ap
-        if _SEVEN:
-            a0, a1, a2, a3, a4, a5, a6 = afr
-            c0, c1, c2, c3, c4, c5, c6 = bfr
-            g0 = 0.0 + amf * a0 + bmf * c0
-            g1 = 0.0 + amf * a1 + bmf * c1
-            g2 = 0.0 + amf * a2 + bmf * c2
-            g3 = 0.0 + amf * a3 + bmf * c3
-            g4 = 0.0 + amf * a4 + bmf * c4
-            g5 = 0.0 + amf * a5 + bmf * c5
-            g6 = 0.0 + amf * a6 + bmf * c6
-            ftotal = 0.0 + g0 + g1 + g2 + g3 + g4 + g5 + g6
-            if ftotal != 1.0:
-                flows = [g0 / ftotal, g1 / ftotal, g2 / ftotal,
-                         g3 / ftotal, g4 / ftotal, g5 / ftotal,
-                         g6 / ftotal]
-            else:
-                flows = [g0, g1, g2, g3, g4, g5, g6]
-            return total, flows, temp, pressure
-        flows = [0.0 + amf * a + bmf * b for a, b in zip(afr, bfr)]
-        ftotal = 0.0
-        for v in flows:
-            ftotal += v
+        a0, a1, a2, a3, a4, a5, a6 = afr
+        c0, c1, c2, c3, c4, c5, c6 = bfr
+        g0 = 0.0 + amf * a0 + bmf * c0
+        g1 = 0.0 + amf * a1 + bmf * c1
+        g2 = 0.0 + amf * a2 + bmf * c2
+        g3 = 0.0 + amf * a3 + bmf * c3
+        g4 = 0.0 + amf * a4 + bmf * c4
+        g5 = 0.0 + amf * a5 + bmf * c5
+        g6 = 0.0 + amf * a6 + bmf * c6
+        ftotal = 0.0 + g0 + g1 + g2 + g3 + g4 + g5 + g6
         if ftotal != 1.0:
-            flows = [v / ftotal for v in flows]
+            flows = [g0 / ftotal, g1 / ftotal, g2 / ftotal,
+                     g3 / ftotal, g4 / ftotal, g5 / ftotal,
+                     g6 / ftotal]
+        else:
+            flows = [g0, g1, g2, g3, g4, g5, g6]
         return total, flows, temp, pressure
     total = 0.0
     for raw in live:
@@ -178,7 +158,7 @@ def mixer_kernel(unit):
 # ----------------------------------------------------------------------
 # Two-phase separator
 # ----------------------------------------------------------------------
-def _separator_kernel7(unit):
+def separator_kernel(unit):
     """Scalarized pure-python separator kernel, unrolled for the fixed
     seven-species width: every intermediate species vector lives in
     scalar locals, so the hot path allocates only the two output
@@ -391,12 +371,6 @@ def _separator_kernel7(unit):
     return kernel
 
 
-def separator_kernel(unit):
-    if _SEVEN:
-        return _separator_kernel7(unit)
-    return None  # exotic species width: fall back to scalar step()
-
-
 # ----------------------------------------------------------------------
 # Gas/gas exchanger and chiller
 # ----------------------------------------------------------------------
@@ -493,9 +467,9 @@ def vapor_header_kernel(unit):
 # ----------------------------------------------------------------------
 # Depropanizer column
 # ----------------------------------------------------------------------
-def _column_kernel7(unit):
+def column_kernel(unit):
     """Scalarized pure-python depropanizer kernel (see
-    :func:`_separator_kernel7` for the unrolling contract)."""
+    :func:`separator_kernel` for the unrolling contract)."""
     dv = unit.distillate_valve
     bv = unit.bottoms_valve
     gv = unit.overhead_gas_valve
@@ -721,9 +695,3 @@ def _column_kernel7(unit):
             s6 = s6 * scale
         unit.sump_holdup = [s0, s1, s2, s3, s4, s5, s6]
     return kernel
-
-
-def column_kernel(unit):
-    if _SEVEN:
-        return _column_kernel7(unit)
-    return None  # exotic species width: fall back to scalar step()

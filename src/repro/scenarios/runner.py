@@ -17,8 +17,9 @@ Throughput mechanics for large (100+-scenario) grids:
   ``run()`` and reused by every subsequent one (``close()`` or use the
   runner as a context manager to reap it), so back-to-back sweeps stop
   paying process-spawn cost per call;
-- submission is **chunked** (``chunksize``), batching the per-task pickle
-  round trips ``Executor.map`` would otherwise pay one job at a time;
+- submission is **chunked** (~4 chunks per worker), batching the
+  per-task pickle round trips ``Executor.map`` would otherwise pay one
+  job at a time;
 - result records **stream**: each record is written to the results
   store's staging area as it arrives from its worker (instead of
   buffering the whole campaign in memory before the first byte hits
@@ -134,10 +135,9 @@ class CampaignRunner:
 
     ``max_workers=None`` uses the machine's CPU count; ``parallel=False``
     (or a single worker) runs the grid serially in-process, which is also
-    the baseline the throughput benchmark compares against.
-    ``chunksize=None`` picks ~4 chunks per worker, a reasonable balance
-    between pickle batching and tail latency; pass an explicit value to
-    override.
+    the baseline the throughput benchmark compares against.  Jobs are
+    submitted in ~4 chunks per worker, a balance between pickle batching
+    and tail latency.
 
     ``warehouse=`` (a ``repro.warehouse`` directory path or open
     :class:`~repro.warehouse.Warehouse`) opts into streaming ingestion:
@@ -150,13 +150,11 @@ class CampaignRunner:
     def __init__(self, results_dir: str | None = None,
                  max_workers: int | None = None,
                  parallel: bool = True,
-                 chunksize: int | None = None,
                  warehouse: Any = None,
                  tenant: str = "default") -> None:
         self.results_dir = results_dir
         self.max_workers = max_workers or (os.cpu_count() or 1)
         self.parallel = parallel and self.max_workers > 1
-        self.chunksize = chunksize
         self.warehouse = warehouse
         self.tenant = tenant
         if warehouse is not None and results_dir is None:
@@ -202,8 +200,6 @@ class CampaignRunner:
         self.close()
 
     def _chunksize_for(self, n_jobs: int) -> int:
-        if self.chunksize is not None:
-            return max(1, self.chunksize)
         return max(1, n_jobs // (self.max_workers * 4))
 
     def map_jobs(self, fn, jobs: Sequence[Any],

@@ -4,11 +4,11 @@ Experiments, benchmarks and tests assert on traces rather than poking at
 internal state: each subsystem records ``TraceEvent`` rows (time, category,
 source, payload) and analysis code filters/aggregates them afterwards.
 
-``Trace.record`` sits on the hot path of every traced run (the medium, the
-MACs and the RTOS all emit rows per frame/job), so the log is kept as raw
-tuples and :class:`TraceEvent` objects are only materialized for rows a
-view actually returns -- recording allocates nothing beyond the keyword
-dict the call itself builds, ``count()`` allocates nothing at all, and
+``Trace.record`` sits on the hot path of every traced run (the medium and
+the RTOS emit rows per frame/job), so the log is kept as raw tuples and
+:class:`TraceEvent` objects are only materialized for rows a view
+actually returns -- recording allocates nothing beyond the keyword dict
+the call itself builds, ``count()`` allocates nothing at all, and
 ``events(category=...)`` pays only for its matches.  Materialized rows
 are value-identical to the eager implementation this replaced (a
 hypothesis property pins this).
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Iterator
 
 from repro.sim.clock import format_time
 
@@ -31,8 +31,8 @@ from repro.sim.clock import format_time
 class TraceEvent:
     """One recorded occurrence.
 
-    ``category`` is a dotted namespace such as ``"mac.tx"`` or
-    ``"evm.failover.activate"``; ``source`` identifies the emitting entity
+    ``category`` is a dotted namespace such as ``"medium.tx"`` or
+    ``"evm.failover"``; ``source`` identifies the emitting entity
     (usually a node id); ``data`` is a small dict of primitives.
     """
 
@@ -50,9 +50,7 @@ class Trace:
     """Append-only event log with filtered views.
 
     A ``Trace`` may be shared by the whole simulation; categories keep
-    subsystems separable.  Optional live subscribers receive each event as
-    it is recorded (used by fault detectors that watch actuation outputs);
-    subscriber-delivered events compare equal to the materialized rows.
+    subsystems separable.
 
     ``capacity=None`` (the default) retains everything; an integer turns
     the log into a ring holding the most recent ``capacity`` rows, with
@@ -67,30 +65,12 @@ class Trace:
         # maxlen deque (O(1) eviction); unbounded ones a plain list.
         self._raw: Any = deque(maxlen=capacity) if capacity else []
         self._recorded = 0
-        self._subscribers: list[Callable[[TraceEvent], None]] = []
 
     def record(self, time: int, category: str, source: str,
                **data: Any) -> None:
-        """Append an event and notify live subscribers."""
+        """Append an event."""
         self._raw.append((time, category, source, data))
         self._recorded += 1
-        if self._subscribers:
-            event = TraceEvent(time=time, category=category, source=source,
-                               data=data)
-            for subscriber in list(self._subscribers):
-                subscriber(event)
-
-    def subscribe(self, callback: Callable[[TraceEvent], None]) -> Callable[[], None]:
-        """Receive every future event; returns an unsubscribe function."""
-        self._subscribers.append(callback)
-
-        def unsubscribe() -> None:
-            try:
-                self._subscribers.remove(callback)
-            except ValueError:
-                pass
-
-        return unsubscribe
 
     # ------------------------------------------------------------------
     # Materialization
@@ -100,17 +80,12 @@ class Trace:
         """Rows evicted by the ring (0 for unbounded traces)."""
         return self._recorded - len(self._raw)
 
-    def _select(self, category: str | None, source: str | None,
-                since: int | None = None, until: int | None = None):
+    def _select(self, category: str | None, source: str | None):
         """Matching raw rows, cheapest filters first (no allocation)."""
         for row in self._raw:
             if category is not None and not row[1].startswith(category):
                 continue
             if source is not None and row[2] != source:
-                continue
-            if since is not None and row[0] < since:
-                continue
-            if until is not None and row[0] > until:
                 continue
             yield row
 
@@ -125,24 +100,16 @@ class Trace:
         # trace must not materialize every event up front.
         return (TraceEvent(t, c, s, d) for (t, c, s, d) in self._raw)
 
-    def events(self, category: str | None = None, source: str | None = None,
-               since: int | None = None, until: int | None = None,
-               ) -> list[TraceEvent]:
-        """Events filtered by category prefix, source and time window."""
+    def events(self, category: str | None = None,
+               source: str | None = None) -> list[TraceEvent]:
+        """Events filtered by category prefix and source."""
         return [TraceEvent(t, c, s, d)
-                for (t, c, s, d) in self._select(category, source,
-                                                 since, until)]
+                for (t, c, s, d) in self._select(category, source)]
 
     def count(self, category: str | None = None, source: str | None = None) -> int:
         if category is None and source is None:
             return len(self._raw)
         return sum(1 for _ in self._select(category, source))
-
-    def series(self, category: str, key: str,
-               source: str | None = None) -> list[tuple[int, Any]]:
-        """(time, data[key]) pairs for events in ``category`` -- a time series."""
-        return [(t, d[key]) for (t, c, s, d) in self._select(category, source)
-                if key in d]
 
     def last(self, category: str, source: str | None = None) -> TraceEvent | None:
         # Newest-first scan: polls for the most recent event are common
@@ -154,17 +121,3 @@ class Trace:
                 continue
             return TraceEvent(t, c, s, d)
         return None
-
-    def clear(self) -> None:
-        self._raw.clear()
-        self._recorded = 0
-
-    def dump(self, categories: Iterable[str] | None = None) -> str:
-        """Multi-line human-readable rendering (debugging aid)."""
-        rows = []
-        for (t, c, s, d) in self._raw:
-            if categories is not None and not any(
-                    c.startswith(prefix) for prefix in categories):
-                continue
-            rows.append(str(TraceEvent(t, c, s, d)))
-        return "\n".join(rows)

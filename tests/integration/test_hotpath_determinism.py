@@ -250,8 +250,8 @@ def widegrid_payload() -> str:
 # Workload 7: wide-grid failover with flood suppression forced on
 # ----------------------------------------------------------------------
 def widegrid_suppressed_payload() -> str:
-    """The 100-node failover trial with relay suppression and the EVM
-    flood bounds switched on.  Suppression engages on its own only at
+    """The 100-node failover trial with relay suppression switched on.
+    Suppression engages on its own only at
     ``FLOOD_SUPPRESS_AUTO_NODES`` and above, so without this workload
     the suppressed relay path is digested nowhere below 1000 nodes."""
     from repro.experiments.widegrid import WideGridConfig, run_widegrid_trial

@@ -1,12 +1,12 @@
-"""VC broadcast flood suppression: relay holds, EVM dedup caches.
+"""VC broadcast flood suppression in the relay layer.
 
-The fourth perf wave bounds the broadcast storm on dense meshes three
-ways -- counter-based relay suppression in :class:`RoutedMacAdapter`,
-bounded viral capsule re-dissemination, and stale/duplicate drops for
-state and mode broadcasts in :class:`EvmRuntime`.  Everything defaults
-*off*: the first tests pin that the classic relay-at-once flood is
-untouched, the last ones that a suppressed wide-grid trial reaches the
-same failover outcome on measurably less airtime.
+Counter-based relay suppression in :class:`RoutedMacAdapter` bounds the
+broadcast storm on dense meshes.  It defaults *off*: the first tests pin
+that the classic relay-at-once flood is untouched, the middle ones that
+the EVM runtime acts on every flood copy it is handed (each adopted
+capsule is re-disseminated, each snapshot and mode broadcast applied),
+and the last ones that a suppressed wide-grid trial reaches the same
+failover outcome on measurably less airtime.
 """
 
 from __future__ import annotations
@@ -136,13 +136,11 @@ class TestRelaySuppression:
 
 
 # ----------------------------------------------------------------------
-# EVM-side discipline
+# EVM runtime under flood copies
 # ----------------------------------------------------------------------
-def _build_runtime(engine, threshold, state_mode="active"):
+def _build_runtime(engine, state_mode="active"):
     """One runtime on node 'c', hosting 'job' as the backup of primary
-    'p', with a recording MAC underneath.  ``threshold`` is the runtime's
-    ``flood_suppress_threshold``; each test feeds one message kind, so
-    only the mechanism under test ever sees traffic."""
+    'p', with a recording MAC underneath."""
     mac = _FakeMac("c", engine)
     vc = VirtualComponent("storm-vc")
     vc.admit(VcMember("p", frozenset({"x"})))
@@ -157,8 +155,7 @@ def _build_runtime(engine, threshold, state_mode="active"):
     kernel.attach_mac(mac)
     runtime = EvmRuntime(
         kernel, vc, frozenset({"x"}),
-        state_sharing=StateSharingPolicy(mode=state_mode),
-        flood_suppress_threshold=threshold)
+        state_sharing=StateSharingPolicy(mode=state_mode))
     runtime.install_capsule(
         Capsule.from_program(compile_passthrough("ident", gain=1.0), 1))
     runtime.configure_from_vc(head_id="p")
@@ -182,40 +179,13 @@ def _capfrag(src, payload):
                   payload=payload, size_bytes=len(payload["chunk"]) + 12)
 
 
-class TestCapsuleFanoutBound:
+class TestCapsuleRedissemination:
     def _spare_capsule(self):
         return Capsule.from_program(compile_passthrough("spare", gain=2.0), 1)
 
-    def test_rebroadcast_suppressed_when_spreaders_heard(self):
+    def test_adopted_capsule_is_rebroadcast(self):
         engine = Engine()
-        runtime, mac = _build_runtime(
-            engine, 2)
-        capsule = self._spare_capsule()
-        frags = _fragments(capsule, pieces=3)
-        # Two distinct spreaders heard before reassembly completes.
-        runtime.deliver(_capfrag("n1", frags[0]))
-        runtime.deliver(_capfrag("n2", frags[0]))
-        runtime.deliver(_capfrag("n1", frags[1]))
-        runtime.deliver(_capfrag("n1", frags[2]))
-        assert runtime.capsules.has("spare")
-        assert runtime.stats.capsule_rebroadcasts_suppressed == 1
-        assert [p for p in mac.sent if p.kind == "evm.capfrag"] == []
-        assert runtime._capsule_sources == {}  # cache drained on adopt
-
-    def test_rebroadcast_proceeds_below_bound(self):
-        engine = Engine()
-        runtime, mac = _build_runtime(
-            engine, 2)
-        capsule = self._spare_capsule()
-        for frag in _fragments(capsule, pieces=3):
-            runtime.deliver(_capfrag("n1", frag))   # one spreader only
-        assert runtime.capsules.has("spare")
-        assert runtime.stats.capsule_rebroadcasts_suppressed == 0
-        assert [p for p in mac.sent if p.kind == "evm.capfrag"]
-
-    def test_default_discipline_always_rebroadcasts(self):
-        engine = Engine()
-        runtime, mac = _build_runtime(engine, 0)
+        runtime, mac = _build_runtime(engine)
         capsule = self._spare_capsule()
         frags = _fragments(capsule, pieces=3)
         runtime.deliver(_capfrag("n1", frags[0]))
@@ -223,42 +193,25 @@ class TestCapsuleFanoutBound:
         runtime.deliver(_capfrag("n3", frags[1]))
         runtime.deliver(_capfrag("n4", frags[2]))
         assert runtime.capsules.has("spare")
-        assert runtime.stats.capsule_rebroadcasts_suppressed == 0
         assert [p for p in mac.sent if p.kind == "evm.capfrag"]
-        assert runtime._capsule_sources == {}  # never populated when off
 
 
-class TestStateStaleDrop:
+class TestStateSnapshots:
     def _snapshot(self, jobs, value):
         return Packet(src="p", dst=BROADCAST, kind="evm.state",
                       payload={"task": "job", "memory": [value] * 4,
                                "jobs": jobs}, size_bytes=40)
 
-    def test_non_advancing_snapshots_dropped(self):
+    def test_every_primary_snapshot_is_applied(self):
         engine = Engine()
-        runtime, _mac = _build_runtime(
-            engine, 2,
-            state_mode="passive")
-        runtime.deliver(self._snapshot(jobs=4, value=1.0))
-        runtime.deliver(self._snapshot(jobs=4, value=2.0))   # duplicate
-        runtime.deliver(self._snapshot(jobs=2, value=3.0))   # re-ordered
-        assert runtime.stats.snapshots_applied == 1
-        assert runtime.stats.snapshots_stale_dropped == 2
-        assert runtime.instances["job"].memory[0] == 1.0
-        runtime.deliver(self._snapshot(jobs=8, value=9.0))   # fresh
-        assert runtime.stats.snapshots_applied == 2
-        assert runtime.instances["job"].memory[0] == 9.0
-
-    def test_default_discipline_applies_every_snapshot(self):
-        engine = Engine()
-        runtime, _mac = _build_runtime(engine, 0, state_mode="passive")
+        runtime, _mac = _build_runtime(engine, state_mode="passive")
         runtime.deliver(self._snapshot(jobs=4, value=1.0))
         runtime.deliver(self._snapshot(jobs=4, value=2.0))
         assert runtime.stats.snapshots_applied == 2
-        assert runtime.stats.snapshots_stale_dropped == 0
+        assert runtime.instances["job"].memory[0] == 2.0
 
 
-class TestModeDedup:
+class TestModeBroadcasts:
     def _mode(self, epoch, primary="p", modes=None):
         return Packet(src="p", dst=BROADCAST, kind="evm.mode",
                       payload={"task": "job", "primary": primary,
@@ -267,26 +220,15 @@ class TestModeDedup:
                                                   "c": "backup"}},
                       size_bytes=32)
 
-    def test_exact_duplicates_dropped_once_applied(self):
-        engine = Engine()
-        runtime, _mac = _build_runtime(
-            engine, 2)
-        runtime.deliver(self._mode(epoch=1))
-        runtime.deliver(self._mode(epoch=1))
-        assert runtime.stats.mode_duplicates_dropped == 1
-        assert runtime.task_primaries["job"] == ("p", 1)
-
-    def test_same_epoch_different_modes_still_applied(self):
+    def test_same_epoch_new_modes_applied(self):
         # _park_dormant re-broadcasts the same epoch with changed modes;
-        # the fingerprint covers the modes map so it must go through.
+        # the change must go through.
         engine = Engine()
-        runtime, _mac = _build_runtime(
-            engine, 2)
+        runtime, _mac = _build_runtime(engine)
         runtime.deliver(self._mode(epoch=2, primary="c"))
         assert runtime.instances["job"].mode.value == "backup"
         runtime.deliver(self._mode(epoch=2, primary="c",
                                    modes={"p": "dormant", "c": "active"}))
-        assert runtime.stats.mode_duplicates_dropped == 0
         assert runtime.instances["job"].mode.value == "active"
 
 

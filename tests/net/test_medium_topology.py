@@ -6,7 +6,7 @@ import pytest
 
 from repro.hardware.node import FireFlyNode
 from repro.hardware.radio import RadioState
-from repro.net.link_quality import FixedPrr, PathLossModel, PerfectLinks
+from repro.net.link_quality import FixedPrr, PerfectLinks
 from repro.net.medium import Medium
 from repro.net.packet import BROADCAST, Packet
 from repro.net.topology import Topology, full_mesh, grid, line, star
@@ -80,20 +80,6 @@ class TestLinkQuality:
     def test_fixed_prr_range_validation(self):
         with pytest.raises(ValueError):
             FixedPrr(1.5)
-
-    def test_path_loss_monotone_in_distance(self):
-        model = PathLossModel()
-        prrs = [model.expected_prr("a", "b", d) for d in (1, 5, 10, 20, 40)]
-        assert all(a >= b for a, b in zip(prrs, prrs[1:]))
-
-    def test_path_loss_longer_frames_fare_worse(self):
-        model = PathLossModel()
-        assert (model.expected_prr("a", "b", 15.0, 16)
-                > model.expected_prr("a", "b", 15.0, 120))
-
-    def test_close_links_are_good(self):
-        model = PathLossModel()
-        assert model.expected_prr("a", "b", 5.0, 32) > 0.95
 
 
 class _Harness:

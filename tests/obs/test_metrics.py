@@ -11,7 +11,6 @@ from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
     delta_values,
-    merge_values,
 )
 
 
@@ -40,8 +39,6 @@ class TestRegistration:
             reg.gauge("repro_pinned")
         with pytest.raises(ValueError, match="already registered"):
             reg.histogram("repro_pinned")
-        with pytest.raises(ValueError, match="already registered"):
-            reg.register_callback("repro_pinned", lambda: 0.0)
 
     def test_histogram_buckets_pinned_per_name(self):
         reg = MetricsRegistry()
@@ -85,10 +82,6 @@ class TestValuesAndDeltas:
         assert "repro_idle_total" not in delta
         assert delta == {"repro_busy_total": 1.0}
 
-    def test_merge_values_sums_rows(self):
-        rows = [{"a": 1.0, "b": 2.0}, {"a": 3.0, "c": 0.5}]
-        assert merge_values(rows) == {"a": 4.0, "b": 2.0, "c": 0.5}
-
 
 class TestPrometheusRendering:
     def test_counter_gauge_text(self):
@@ -120,15 +113,6 @@ class TestPrometheusRendering:
         reg.counter("repro_esc_total", path='we"ird\\path\n').inc()
         text = reg.render_prometheus()
         assert r'path="we\"ird\\path\n"' in text
-
-    def test_callback_gauges_sampled_and_faults_swallowed(self):
-        reg = MetricsRegistry()
-        reg.register_callback("repro_cb", lambda: 42.0, "sampled")
-        reg.register_callback("repro_dead_cb",
-                              lambda: 1 / 0)  # must not break export
-        text = reg.render_prometheus()
-        assert "repro_cb 42" in text
-        assert "repro_dead_cb" not in text  # skipped wholesale
 
     def test_snapshot_is_json_able(self):
         reg = MetricsRegistry()

@@ -64,39 +64,8 @@ class TestTrace:
         trace.record(2, "x", "b")
         assert [e.time for e in trace.events("x", source="b")] == [2]
 
-    def test_time_window(self, trace):
-        for t in (10, 20, 30, 40):
-            trace.record(t, "x", "n")
-        assert len(trace.events("x", since=20, until=30)) == 2
-
-    def test_series_extraction(self, trace):
-        trace.record(1, "level", "s", value=50.0)
-        trace.record(2, "level", "s", value=49.0)
-        trace.record(3, "level", "s", other=1)
-        assert trace.series("level", "value") == [(1, 50.0), (2, 49.0)]
-
     def test_last(self, trace):
         trace.record(1, "x", "n", v=1)
         trace.record(5, "x", "n", v=2)
         assert trace.last("x").data["v"] == 2
         assert trace.last("missing") is None
-
-    def test_live_subscription(self, trace):
-        seen = []
-        unsub = trace.subscribe(lambda e: seen.append(e.category))
-        trace.record(1, "a", "n")
-        unsub()
-        trace.record(2, "b", "n")
-        assert seen == ["a"]
-
-    def test_clear(self, trace):
-        trace.record(1, "x", "n")
-        trace.clear()
-        assert len(trace) == 0
-
-    def test_dump_filters(self, trace):
-        trace.record(1, "a.b", "n")
-        trace.record(2, "c.d", "n")
-        text = trace.dump(categories=["a."])
-        assert "a.b" in text
-        assert "c.d" not in text
