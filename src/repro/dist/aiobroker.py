@@ -26,11 +26,10 @@ single event loop:
   .Coordinator` facade marshals ``status()``/``stop()`` onto the loop
   via ``run_coroutine_threadsafe``.
 
-Wire semantics are unchanged from the threaded broker -- same frame
-types, same lease/requeue/first-result-wins rules, same ``status()``
-shape -- plus per-frame zlib compression, ``job_batch``/
-``result_batch`` frames for grant rounds and result bursts, and
-per-submit scheduling weights.  The handshake checks one
+Grant rounds and result bursts are framed by
+:func:`~repro.dist.protocol.entries_frame` (one ``job_batch``/
+``result_batch`` frame per round or burst, a plain ``job``/``result``
+frame for a lone entry).  The handshake checks one
 :data:`~repro.dist.protocol.PROTOCOL_VERSION`: a hello at any other
 version (or none) gets an ``error`` frame and a closed connection.
 
@@ -48,8 +47,8 @@ back to the front of its **own** campaign's queue.
 :class:`~repro.dist.autoscale.Autoscaler` evaluated on a loop timer
 against the same status snapshot everything else reads; its driver
 grows the fleet or asks the broker to *retire* workers --
-drain-then-exit via the ``retire``/``slots`` frames, so scale-down
-never requeues in-flight work.
+drain-then-exit via the ``retire`` frame, so scale-down never requeues
+in-flight work.
 """
 
 from __future__ import annotations
@@ -60,7 +59,7 @@ import socket
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Coroutine
+from typing import Any, Callable
 
 from repro.dist.fairshare import FairScheduler, validate_weight
 from repro.dist.protocol import (
@@ -70,24 +69,23 @@ from repro.dist.protocol import (
     MSG_HEARTBEAT,
     MSG_HELLO,
     MSG_JOB,
-    MSG_JOB_BATCH,
     MSG_RESULT,
     MSG_RESULT_BATCH,
     MSG_RETIRE,
     MSG_SHUTDOWN,
-    MSG_SLOTS,
     MSG_STATUS,
     MSG_STATUS_UPDATE,
     MSG_STOPPING,
     MSG_SUBSCRIBE,
     MSG_SUBSCRIBED,
     MSG_SUBMIT,
-    MSG_UNSUBSCRIBE,
     MSG_WELCOME,
     PROTOCOL_VERSION,
     ConnectionClosed,
     ProtocolError,
-    pack_blob_list,
+    entries_frame,
+    entry_size,
+    frame_entries,
     pack_message,
     recv_message_async,
     split_batch,
@@ -187,9 +185,6 @@ class CoordinatorStats:
     # too, so dropped - retired approximates *unplanned* losses.
     workers_retired: int = 0
     results_ignored: int = 0
-    # Trace-ring rows evicted inside completed runs (reported by the
-    # workers per result frame): silent data loss made visible.
-    trace_dropped: int = 0
     # Autoscaler ticks that raised; the evaluation timer keeps running.
     autoscale_errors: int = 0
 
@@ -272,8 +267,7 @@ class _AioWorker(_AioPeer):
         self.leases_granted = 0
         self.lease_wait_total = 0.0
         # Drain-then-exit: set the moment a retire frame is sent, so
-        # the very next grant round already skips this worker (its own
-        # slots=0 announcement is merely confirmation).
+        # the very next grant round already skips this worker.
         self.retiring = False
 
 
@@ -305,9 +299,9 @@ class _AioClient(_AioPeer):
         self.batch_started = 0.0
         self.batch_settled = 0.0
         # Settled results pile here until the scheduled flush ships
-        # them as one result_batch frame.  The done frame's counters
-        # are captured at settle time (a submit racing the flush must
-        # not reset them under it).
+        # them as one frame.  The done frame's counters are captured
+        # at settle time (a submit racing the flush must not reset
+        # them under it).
         self.result_outbox: list[tuple[dict[str, Any],
                                        Any]] = []
         self.flush_scheduled = False
@@ -562,37 +556,15 @@ class AsyncCoordinator:
                 kind = header["type"]
                 if kind == MSG_HEARTBEAT:
                     worker.last_seen = time.monotonic()
-                elif kind == MSG_RESULT:
+                elif kind == MSG_RESULT or kind == MSG_RESULT_BATCH:
                     worker.last_seen = time.monotonic()
-                    await self._on_result(
-                        worker, str(header["job_id"]),
-                        bool(header["ok"]), header.get("error"), payload,
-                        retryable=bool(header.get("retryable")),
-                        attempt=int(header.get("attempt", 0)),
-                        trace_dropped=int(header.get("trace_dropped", 0)))
-                    self._schedule_dispatch()
-                elif kind == MSG_RESULT_BATCH:
-                    worker.last_seen = time.monotonic()
-                    results = header.get("results", [])
-                    blobs = unpack_blob_list(payload)
-                    if len(blobs) != len(results):
-                        raise ProtocolError("result_batch length mismatch")
-                    for meta, blob in zip(results, blobs):
+                    for meta, blob in frame_entries(header, payload):
                         await self._on_result(
                             worker, str(meta["job_id"]),
                             bool(meta["ok"]), meta.get("error"), blob,
                             retryable=bool(meta.get("retryable")),
-                            attempt=int(meta.get("attempt", 0)),
-                            trace_dropped=int(meta.get("trace_dropped",
-                                                       0)))
+                            attempt=int(meta.get("attempt", 0)))
                     self._schedule_dispatch()
-                elif kind == MSG_SLOTS:
-                    # Capacity re-announcement (a retiring worker's
-                    # slots hit 0; an elastic worker could also grow).
-                    worker.last_seen = time.monotonic()
-                    worker.slots = max(0, int(header.get("slots", 0)))
-                    if worker.slots > len(worker.inflight):
-                        self._schedule_dispatch()
                 elif kind == MSG_GOODBYE:
                     break
         except (ConnectionClosed, ProtocolError, OSError,
@@ -621,8 +593,6 @@ class AsyncCoordinator:
                     client.subscribed = True
                     await client.send({"type": MSG_SUBSCRIBED,
                                        "period": client.subscribe_period})
-                elif kind == MSG_UNSUBSCRIBE:
-                    client.subscribed = False
                 elif kind == MSG_SHUTDOWN:
                     # Stop first (so the requester observes a stopped
                     # broker the moment its ack/EOF arrives), then ack
@@ -652,6 +622,12 @@ class AsyncCoordinator:
         if len(blobs) != len(job_ids):
             await client.send({"type": MSG_ERROR,
                                "error": "job_ids/payload length mismatch"})
+            return
+        if len(set(job_ids)) != len(job_ids):
+            # Records are keyed by job id within a batch: a repeat
+            # would overwrite its twin and settle only once.
+            await client.send({"type": MSG_ERROR,
+                               "error": "duplicate job_ids in submit"})
             return
         max_attempts = int(header.get("max_attempts", self.max_attempts))
         weight = 1.0
@@ -745,35 +721,24 @@ class AsyncCoordinator:
         await self._dispatch()
 
     async def _dispatch(self) -> None:
-        """Grant pending jobs and ship them: one ``job_batch`` frame
-        per worker round (a single job as a plain ``job`` frame).  A
-        send that finds the peer dead is resolved by the peer's own
-        teardown (which requeues)."""
+        """Grant pending jobs and ship them: one frame per worker
+        round.  A send that finds the peer dead is resolved by the
+        peer's own teardown (which requeues)."""
         if self._stopping:
             return
         grants = self._grant_round()
         for worker, jobs in grants.items():
+            entries = [({"job_id": job.key, "attempt": job.attempts},
+                        job.payload) for job in jobs]
             # Budget-bounded chunks: a grant round of individually
             # relayable payloads must never aggregate into a frame
             # pack_message rejects.
-            for chunk in split_batch(jobs, lambda job: len(job.payload)):
-                if len(chunk) == 1:
-                    await worker.send(
-                        {"type": MSG_JOB, "job_id": chunk[0].key,
-                         "attempt": chunk[0].attempts},
-                        chunk[0].payload)
-                    continue
-                header = {"type": MSG_JOB_BATCH,
-                          "jobs": [{"job_id": job.key,
-                                    "attempt": job.attempts}
-                                   for job in chunk]}
-                await worker.send(
-                    header, pack_blob_list([job.payload for job in chunk]))
+            for chunk in split_batch(entries, entry_size):
+                await worker.send(*entries_frame(MSG_JOB, chunk))
 
     async def _on_result(self, worker: _AioWorker, key: str, ok: bool,
                          error: str | None, payload: memoryview | None,
-                         retryable: bool = False, attempt: int = 0,
-                         trace_dropped: int = 0) -> None:
+                         retryable: bool = False, attempt: int = 0) -> None:
         job = self._jobs.get(key)
         if job is None:
             # Stale: the job was settled earlier (first result won, or
@@ -802,8 +767,6 @@ class AsyncCoordinator:
         # regardless of which attempt produced it.
         self._settle(job)
         worker.inflight.discard(key)
-        if ok and trace_dropped > 0:
-            self.stats.trace_dropped += trace_dropped
         await self._deliver(job, ok, error, payload)
 
     def _settle(self, job: JobRecord) -> None:
@@ -822,10 +785,10 @@ class AsyncCoordinator:
         """Queue one settled job for its client (+ ``done`` when that
         client's batch is drained).  Results pile up in the client's
         outbox while the reader keeps settling, and a flush task ships
-        the whole pile as one ``result_batch`` frame at the next loop
-        turn -- single-threaded on the loop and FIFO through the
-        client's send queue, so the ``done`` frame can never overtake
-        the last result.  The ``done`` payload is captured *here* (at
+        the whole pile as one frame at the next loop turn --
+        single-threaded on the loop and FIFO through the client's send
+        queue, so the ``done`` frame can never overtake the last
+        result.  The ``done`` payload is captured *here* (at
         settle time) so a new submit racing the flush cannot reset the
         counters under it."""
         client = self._clients.get(job.client_id)
@@ -871,21 +834,8 @@ class AsyncCoordinator:
             client.result_outbox = []
             # Same budget rule as _dispatch: the outbox coalesces
             # without bound, one frame must not.
-            for chunk in split_batch(
-                    batch, lambda entry: (len(entry[1])
-                                          if entry[1] is not None else 0)):
-                if len(chunk) == 1:
-                    meta, payload = chunk[0]
-                    header = dict(meta)
-                    header["type"] = MSG_RESULT
-                    await client.send(header, payload)
-                else:
-                    await client.send(
-                        {"type": MSG_RESULT_BATCH,
-                         "results": [meta for meta, _payload in chunk]},
-                        pack_blob_list(
-                            [payload if payload is not None else b""
-                             for _meta, payload in chunk]))
+            for chunk in split_batch(batch, entry_size):
+                await client.send(*entries_frame(MSG_RESULT, chunk))
         done = client.done_payload
         if done is not None:
             client.done_payload = None
@@ -944,10 +894,9 @@ class AsyncCoordinator:
     async def retire_workers_async(self, n: int = 1) -> int:
         """Ask up to ``n`` workers to drain-then-exit, idle-first (a
         scale-down should prefer departures that strand nothing).  The
-        worker finishes its in-flight leases, announces zero slots and
-        disconnects itself; broker-side it stops receiving grants the
-        moment the retire frame is queued.  Returns how many workers
-        were asked."""
+        worker finishes its in-flight leases and disconnects itself;
+        broker-side it stops receiving grants the moment the retire
+        frame is queued.  Returns how many workers were asked."""
         victims = sorted(
             (w for w in self._workers.values()
              if w.alive and not w.retiring),
@@ -955,9 +904,8 @@ class AsyncCoordinator:
         count = 0
         for worker in victims[:max(0, n)]:
             worker.retiring = True
-            # Zero broker-side immediately (the worker's own slots=0
-            # announcement merely confirms): fleet_size and the next
-            # policy tick must not count a draining worker.
+            # Zero its capacity now: fleet_size and the next policy
+            # tick must not count a draining worker.
             worker.slots = 0
             self.stats.workers_retired += 1
             await worker.send({"type": MSG_RETIRE})
@@ -1136,8 +1084,3 @@ class AsyncCoordinator:
                 "scaled_down": autoscaler.scaled_down,
             }
         return status
-
-    # Facade plumbing: run a coroutine builder from any thread.
-    def threadsafe(self, loop: asyncio.AbstractEventLoop,
-                   factory: Callable[[], Coroutine]) -> Any:
-        return asyncio.run_coroutine_threadsafe(factory(), loop)

@@ -24,7 +24,13 @@ import argparse
 import json
 import sys
 
+from repro.dist.aiobroker import (
+    DEFAULT_LEASE_TIMEOUT,
+    DEFAULT_MAX_ATTEMPTS,
+    DEFAULT_WORKER_TIMEOUT,
+)
 from repro.dist.protocol import DEFAULT_PORT
+from repro.dist.worker import DEFAULT_HEARTBEAT_PERIOD
 
 
 def _cmd_coordinator(args: argparse.Namespace) -> int:
@@ -90,11 +96,6 @@ def format_status_line(status: dict) -> str:
              f"workers={len(status.get('workers', []))}",
              f"done={stats.get('jobs_completed', 0)}",
              f"failed={stats.get('jobs_failed', 0)}"]
-    if stats.get("trace_dropped"):
-        # Bounded Trace rings evicted rows inside completed runs:
-        # trace-derived metrics may undercount.  Shown only when
-        # non-zero so the healthy line stays short.
-        parts.append(f"dropped={stats['trace_dropped']}")
     scale = status.get("autoscale")
     if scale is not None:
         # Only autoscaled brokers carry the block; the plain line (and
@@ -171,11 +172,14 @@ def build_parser() -> argparse.ArgumentParser:
                            help="serve the job-leasing broker")
     coord.add_argument("--host", default="127.0.0.1")
     coord.add_argument("--port", type=int, default=DEFAULT_PORT)
-    coord.add_argument("--lease-timeout", type=float, default=300.0,
+    coord.add_argument("--lease-timeout", type=float,
+                       default=DEFAULT_LEASE_TIMEOUT,
                        help="hard per-job execution deadline (s)")
-    coord.add_argument("--worker-timeout", type=float, default=15.0,
+    coord.add_argument("--worker-timeout", type=float,
+                       default=DEFAULT_WORKER_TIMEOUT,
                        help="heartbeat silence before a worker is dropped")
-    coord.add_argument("--max-attempts", type=int, default=3,
+    coord.add_argument("--max-attempts", type=int,
+                       default=DEFAULT_MAX_ATTEMPTS,
                        help="lease grants per job before it is failed")
     coord.add_argument("--autoscale", default="", metavar="MIN:MAX",
                        help="run an elastic subprocess worker fleet "
@@ -196,7 +200,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="local process pool width (0 = inline)")
     worker.add_argument("--slots", type=int, default=0,
                         help="concurrent leases (default: pool width)")
-    worker.add_argument("--heartbeat", type=float, default=2.0)
+    worker.add_argument("--heartbeat", type=float,
+                        default=DEFAULT_HEARTBEAT_PERIOD)
     worker.add_argument("--connect-timeout", type=float, default=30.0,
                         help="how long to retry dialing the coordinator")
     worker.add_argument("--name", default="")

@@ -41,7 +41,7 @@ from typing import Any
 
 from repro.dist.coordinator import Coordinator
 from repro.dist.runner import DistributedCampaignRunner
-from repro.dist.worker import WorkerAgent
+from repro.dist.worker import DEFAULT_HEARTBEAT_PERIOD, WorkerAgent
 
 
 def _src_root():
@@ -55,7 +55,7 @@ def _src_root():
 
 def spawn_worker_process(address: str, processes: int = 1,
                          slots: int | None = None,
-                         heartbeat_period: float = 2.0,
+                         heartbeat_period: float = DEFAULT_HEARTBEAT_PERIOD,
                          name: str = "") -> subprocess.Popen:
     """Fork one ``python -m repro.dist worker`` child dialled at
     ``address`` (with ``src`` prepended to its ``PYTHONPATH``).  Each
@@ -287,7 +287,7 @@ class SubprocessWorkerFleet:
 
     def __init__(self, coordinator: Coordinator, processes: int = 1,
                  slots: int | None = None,
-                 heartbeat_period: float = 2.0) -> None:
+                 heartbeat_period: float = DEFAULT_HEARTBEAT_PERIOD) -> None:
         self.coordinator = coordinator
         self.processes = processes
         self.slots = slots

@@ -58,8 +58,6 @@ from repro.dist.aiobroker import (
     DEFAULT_WORKER_TIMEOUT,
     AsyncCoordinator,
     CoordinatorStats,
-    JobRecord,
-    Lease,
 )
 from repro.dist.protocol import (
     DEFAULT_PORT,
@@ -73,10 +71,6 @@ from repro.dist.protocol import (
 )
 
 __all__ = ["Coordinator", "CoordinatorStats", "DEFAULT_PORT", "connect"]
-
-# Re-exported for callers/tests that import these from here.
-_REEXPORTED = (JobRecord, Lease, DEFAULT_LEASE_TIMEOUT,
-               DEFAULT_WORKER_TIMEOUT, DEFAULT_MAX_ATTEMPTS)
 
 
 class Coordinator:
@@ -123,18 +117,6 @@ class Coordinator:
     @property
     def stats(self) -> CoordinatorStats:
         return self._core.stats
-
-    @property
-    def lease_timeout(self) -> float:
-        return self._core.lease_timeout
-
-    @property
-    def worker_timeout(self) -> float:
-        return self._core.worker_timeout
-
-    @property
-    def max_attempts(self) -> int:
-        return self._core.max_attempts
 
     def start(self) -> "Coordinator":
         """Spawn the event-loop thread and wait until the broker is

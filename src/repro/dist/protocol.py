@@ -43,14 +43,22 @@ protocol is for trusted clusters (localhost, a lab LAN, your own
 fleet) -- the same trust boundary as the local process pool.
 
 Frame types (the ``type`` field of every header) are enumerated as
-module constants below.  Clients drive ``submit``/``status``/
-``shutdown``/``goodbye`` and may opt into the live status stream with
-``subscribe`` (acked by ``subscribed``; pushed frames are
-``status_update`` at the subscriber's requested period until
-``unsubscribe`` or disconnect).  Workers speak ``heartbeat``/``result``
-and receive ``job``/``shutdown``; grant rounds and result bursts of
-more than one entry travel as ``job_batch``/``result_batch`` frames
-that carry N leases or N results in one syscall.
+module constants below.  Every peer opens with ``hello`` and is
+answered ``welcome`` (or ``error``).  Clients drive ``submit``/
+``status``/``shutdown``/``goodbye`` and may opt into the live status
+stream with ``subscribe`` (acked by ``subscribed``; pushed frames are
+``status_update`` at the subscriber's requested period until the
+client leaves); a submit is answered by ``result`` frames and one
+``done``, or by ``error``, and a shutdown by ``stopping``.  Workers
+receive ``job``/``retire``/``shutdown`` and send ``heartbeat``/
+``result``/``goodbye``.
+
+Jobs and results travel as ``(meta, payload)`` entries.
+:func:`entries_frame` is the one place that picks their framing: a
+lone entry ships as a plain ``job``/``result`` frame with its meta in
+the header, and two or more as one ``job_batch``/``result_batch``
+frame that carries N leases or N results in one syscall.
+:func:`frame_entries` is its inverse on the receiving side.
 """
 
 from __future__ import annotations
@@ -123,7 +131,7 @@ DEFAULT_PORT = 7461
 """The coordinator's default TCP port (single source: the CLI, the
 broker and address parsing all import it from here)."""
 
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 """The wire version ``hello`` and ``welcome`` carry; a peer at any
 other version is refused at the handshake.  Bump it with any change to
 the frames."""
@@ -133,7 +141,6 @@ MSG_HELLO = "hello"
 MSG_SUBMIT = "submit"
 MSG_STATUS = "status"
 MSG_SUBSCRIBE = "subscribe"
-MSG_UNSUBSCRIBE = "unsubscribe"
 MSG_SHUTDOWN = "shutdown"
 MSG_GOODBYE = "goodbye"
 # ... coordinator-driven ...
@@ -147,16 +154,15 @@ MSG_DONE = "done"
 MSG_STOPPING = "stopping"
 MSG_ERROR = "error"
 # "retire" asks a worker to drain and leave (the autoscaler's
-# scale-down path): the worker finishes its in-flight leases,
-# announces zero slots, then says goodbye -- so shrinking the fleet
-# never requeues work.
+# scale-down path): the worker finishes its in-flight leases, then
+# says goodbye -- so shrinking the fleet never requeues work.
 MSG_RETIRE = "retire"
 # ... worker-driven.
 MSG_HEARTBEAT = "heartbeat"
 MSG_RESULT_BATCH = "result_batch"
-# "slots" re-announces a worker's lease capacity mid-connection (a
-# retiring worker drops to 0; a future elastic worker could grow).
-MSG_SLOTS = "slots"
+
+# The header field that lists a batch frame's per-entry metas.
+_BATCH_FIELDS = {MSG_JOB_BATCH: "jobs", MSG_RESULT_BATCH: "results"}
 
 _LEN = struct.Struct(">I")
 
@@ -343,6 +349,55 @@ def unpack_blob_list(data: bytes | memoryview) -> list[memoryview]:
         blobs.append(view[offset:offset + length])
         offset += length
     return blobs
+
+
+Entry = tuple[dict[str, Any], bytes | memoryview | None]
+"""One job or result on the wire: its meta fields and its opaque
+payload (``None`` for a failed result)."""
+
+
+def entry_size(entry: Entry) -> int:
+    """Payload bytes one entry adds to a batch frame (the ``size_of``
+    the senders hand :func:`split_batch`)."""
+    payload = entry[1]
+    return len(payload) if payload is not None else 0
+
+
+def entries_frame(kind: str, entries: Sequence[Entry],
+                  ) -> tuple[dict[str, Any], bytes | memoryview | None]:
+    """The ``(header, payload)`` frame that carries ``entries`` of
+    ``kind`` (``job`` or ``result``).
+
+    A lone entry ships as the plain frame, its meta merged into the
+    header.  Two or more ship as the ``<kind>_batch`` frame: the metas
+    listed in the header and the payloads as one blob list, a ``None``
+    payload as an empty blob.  The lone-entry form saves the blob-list
+    wrapping on the one-slot workers' common case."""
+    if len(entries) == 1:
+        meta, payload = entries[0]
+        return dict(meta, type=kind), payload
+    batch_kind = f"{kind}_batch"
+    return ({"type": batch_kind,
+             _BATCH_FIELDS[batch_kind]: [meta for meta, _ in entries]},
+            pack_blob_list([payload if payload is not None else b""
+                            for _, payload in entries]))
+
+
+def frame_entries(header: dict[str, Any], payload: memoryview,
+                  ) -> list[tuple[dict[str, Any], memoryview]]:
+    """The ``(meta, blob)`` entries a ``job``/``result`` frame or its
+    batch twin carries (the inverse of :func:`entries_frame`; a plain
+    frame's meta is its header).  Raises :class:`ProtocolError` when a
+    batch's blob count differs from its meta count."""
+    field = _BATCH_FIELDS.get(header["type"])
+    if field is None:
+        return [(header, payload)]
+    metas = header.get(field, [])
+    blobs = unpack_blob_list(payload)
+    if len(blobs) != len(metas):
+        raise ProtocolError(f"{header['type']} carries {len(blobs)} "
+                            f"blobs for {len(metas)} entries")
+    return list(zip(metas, blobs))
 
 
 def parse_address(address: str, default_port: int = DEFAULT_PORT,

@@ -43,13 +43,15 @@ from typing import Any, Callable, Sequence
 from repro.dist import coordinator as coordinator_mod
 from repro.dist.fairshare import validate_weight
 from repro.dist.protocol import (
+    MSG_RESULT,
+    MSG_RESULT_BATCH,
     ConnectionClosed,
+    frame_entries,
     import_attr,
     loads_payload,
     pack_blob_list,
     recv_message,
     send_message,
-    unpack_blob_list,
 )
 from repro.scenarios.runner import CampaignResult, _run_record, _slug, summarize
 from repro.scenarios.spec import Scenario
@@ -232,11 +234,8 @@ class DistributedCampaignRunner:
                     f"{len(jobs) - len(outcomes)} job(s) outstanding"
                 ) from exc
             kind = reply["type"]
-            if kind == "result":
-                settle(reply, payload)
-            elif kind == "result_batch":
-                for meta, blob in zip(reply["results"],
-                                      unpack_blob_list(payload)):
+            if kind == MSG_RESULT or kind == MSG_RESULT_BATCH:
+                for meta, blob in frame_entries(reply, payload):
                     settle(meta, blob)
             elif kind == "done":
                 # The coordinator sends "done" strictly after the last

@@ -20,14 +20,16 @@ deadline, not the heartbeat, bounds them).  Exceptions raised by a job
 are caught and reported as failed results with the traceback text --
 the agent itself only dies on coordinator loss or :meth:`stop`.
 
-Results coalesce into ``result_batch`` frames: finished jobs pile into
-an outbox while a flush is on the wire, and the next flush ships all
-of them as one frame -- one syscall for N wide-grid records,
-self-clocking to however fast the socket drains.
+Leases arrive as ``job`` frames, or as one ``job_batch`` frame per
+grant round of more than one job, and results go back the same way
+(:func:`~repro.dist.protocol.entries_frame` picks the form): finished
+jobs pile into an outbox while a flush is on the wire, and the next
+flush ships all of them as one frame -- one syscall for N wide-grid
+records, self-clocking to however fast the socket drains.
 
 A ``retire`` frame (the autoscaler's scale-down path) makes the agent
-**drain-then-exit**: it announces ``slots: 0`` so the coordinator
-grants it nothing further, finishes whatever jobs are already in its
+**drain-then-exit**: the coordinator grants a retiring worker nothing
+further, and the agent finishes whatever jobs are already in its
 executor, sends each result normally, and only then says goodbye --
 shrinking a fleet under load loses no work.  A SIGKILL mid-drain still
 looks like any crashed worker (no goodbye), so the coordinator's
@@ -49,19 +51,18 @@ from repro.dist.protocol import (
     MSG_JOB,
     MSG_JOB_BATCH,
     MSG_RESULT,
-    MSG_RESULT_BATCH,
     MSG_RETIRE,
     MSG_SHUTDOWN,
-    MSG_SLOTS,
     ConnectionClosed,
     ProtocolError,
     dumps_payload,
+    entries_frame,
+    entry_size,
+    frame_entries,
     loads_payload,
-    pack_blob_list,
     recv_message,
     send_message,
     split_batch,
-    unpack_blob_list,
 )
 
 DEFAULT_HEARTBEAT_PERIOD = 2.0
@@ -80,21 +81,6 @@ def execute_job(payload: bytes) -> tuple[bool, Any]:
         return True, fn(arg)
     except BaseException:
         return False, traceback.format_exc()
-
-
-def _result_size(entry: tuple[dict[str, Any], bytes | None]) -> int:
-    """Payload bytes one outbox entry contributes to a batched frame."""
-    payload = entry[1]
-    return len(payload) if payload is not None else 0
-
-
-def _trace_dropped(value: Any) -> int:
-    """Rows the run's bounded ``Trace`` ring evicted, when the result
-    is a campaign run record; 0 for arbitrary ``map_jobs`` values."""
-    try:
-        return int(value["metrics"]["trace_dropped"])
-    except (TypeError, KeyError, ValueError, IndexError):
-        return 0
 
 
 class WorkerAgent:
@@ -129,7 +115,7 @@ class WorkerAgent:
         self._thread: threading.Thread | None = None
         # Result outbox: finished jobs queue here
         # while another flush holds the socket; the flusher drains the
-        # whole backlog as one result_batch frame per trip.
+        # whole backlog as one frame per trip.
         self._outbox: list[tuple[dict[str, Any], bytes | None]] = []
         self._flushing = False
         # Drain-then-exit state: _inflight counts jobs handed to the
@@ -225,12 +211,6 @@ class WorkerAgent:
             self.jobs_done += 1
             meta: dict[str, Any] = {"job_id": job_id, "attempt": attempt,
                                     "ok": True}
-            dropped = _trace_dropped(value)
-            if dropped:
-                # Silent-data-loss visibility: the coordinator folds
-                # this into its status stats (the payload is opaque to
-                # it, so the worker surfaces the counter here).
-                meta["trace_dropped"] = dropped
         else:
             self.jobs_failed += 1
             meta = {"job_id": job_id, "attempt": attempt, "ok": False,
@@ -292,40 +272,27 @@ class WorkerAgent:
         # The outbox coalesces without bound, but one frame must not:
         # N individually-sendable results can sum past the frame cap,
         # so ship the backlog in budget-bounded chunks.
-        for chunk in split_batch(batch, _result_size):
+        for chunk in split_batch(batch, entry_size):
             try:
                 with self._wire_lock:
-                    self._send_result_chunk(sock, chunk)
+                    send_message(sock, *entries_frame(MSG_RESULT, chunk))
             except OSError:
                 return  # broken socket: the read loop owns the teardown
             except ProtocolError:
                 # The chunk still packed past the cap (outsized metadata
                 # headers): fall back to per-frame sends so one bad
                 # entry cannot sink its batch-mates.
-                for meta, payload in chunk:
+                for entry in chunk:
                     try:
                         with self._wire_lock:
-                            send_message(sock, dict(meta, type=MSG_RESULT),
-                                         payload)
+                            send_message(
+                                sock, *entries_frame(MSG_RESULT, [entry]))
                     except OSError:
                         return
                     except ProtocolError:
                         # This result alone exceeds the frame cap; its
                         # lease expires and the attempt budget decides.
                         continue
-
-    def _send_result_chunk(self, sock: socket.socket,
-                           chunk: list[tuple[dict[str, Any],
-                                             bytes | None]]) -> None:
-        if len(chunk) == 1:
-            meta, payload = chunk[0]
-            send_message(sock, dict(meta, type=MSG_RESULT), payload)
-        else:
-            header = {"type": MSG_RESULT_BATCH,
-                      "results": [meta for meta, _ in chunk]}
-            blobs = [payload if payload is not None else b""
-                     for _, payload in chunk]
-            send_message(sock, header, pack_blob_list(blobs))
 
     # ------------------------------------------------------------------
     # Main loop
@@ -343,27 +310,19 @@ class WorkerAgent:
             while not self._stopped.is_set():
                 header, payload = recv_message(self._sock)
                 kind = header["type"]
-                if kind == MSG_JOB:
-                    self._submit_job(str(header["job_id"]),
-                                     int(header.get("attempt", 1)),
-                                     payload)
-                elif kind == MSG_JOB_BATCH:
-                    jobs = header.get("jobs", [])
-                    blobs = unpack_blob_list(payload)
-                    if len(blobs) != len(jobs):
-                        raise ProtocolError("job_batch length mismatch")
-                    for meta, blob in zip(jobs, blobs):
+                if kind == MSG_JOB or kind == MSG_JOB_BATCH:
+                    for meta, blob in frame_entries(header, payload):
                         self._submit_job(str(meta["job_id"]),
                                          int(meta.get("attempt", 1)),
                                          blob)
                 elif kind == MSG_RETIRE:
-                    # Drain-then-exit: no new leases (slots 0), finish
-                    # what's in the executor, then goodbye.  The
-                    # coordinator closes the connection on our goodbye,
-                    # which pops this loop out of recv_message.
+                    # Drain-then-exit: the coordinator grants nothing
+                    # more, so finish what's in the executor, then
+                    # goodbye.  The coordinator closes the connection
+                    # on our goodbye, which pops this loop out of
+                    # recv_message.
                     with self._retire_lock:
                         self._draining = True
-                    self._send({"type": MSG_SLOTS, "slots": 0})
                     self._maybe_finish_retire()
                 elif kind == MSG_SHUTDOWN:
                     break

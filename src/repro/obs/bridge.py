@@ -23,7 +23,7 @@ __all__ = ["CoordinatorBridge"]
 
 _STAT_GAUGES = ("jobs_submitted", "jobs_completed", "jobs_failed",
                 "jobs_requeued", "workers_dropped", "workers_retired",
-                "results_ignored", "trace_dropped", "autoscale_errors")
+                "results_ignored", "autoscale_errors")
 
 
 class CoordinatorBridge:

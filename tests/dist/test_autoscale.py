@@ -87,7 +87,7 @@ class TestPolicyDecisions:
             _status(workers=[(1, 1), (1, 1), (1, 1)])) == 0
 
     def test_retiring_workers_excluded_from_fleet(self):
-        # A retiring worker announces slots=0: it neither blocks
+        # A retiring worker reports slots=0: it neither blocks
         # scale-up toward min nor counts as retirable capacity.
         status = _status(workers=[(0, 1), (1, 0)])
         assert fleet_size(status) == 1

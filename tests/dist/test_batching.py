@@ -1,6 +1,10 @@
-"""Batched-frame safety: write serialization and byte-budget chunking.
+"""Batched frames: the entry framing, write serialization and
+byte-budget chunking.
 
-Two failure modes the batch fast path must not reintroduce:
+``protocol.entries_frame``/``frame_entries`` are the one place a
+job/result entry list becomes a plain or a batch frame and back; they
+round-trip here directly.  Two failure modes the batch fast path must
+not reintroduce:
 
 - **interleaved writes**: the worker's heartbeat thread and its result
   flusher share one socket; two threads inside ``sendall()`` at once
@@ -18,17 +22,69 @@ import socket
 import threading
 import time
 
+import pytest
+
 from repro.dist import LocalCluster
 from repro.dist import protocol as protocol_mod
 from repro.dist import worker as worker_mod
 from repro.dist.cluster import sleepy_echo
 from repro.dist.protocol import (
     ProtocolError,
+    entries_frame,
+    frame_entries,
+    pack_blob_list,
     recv_message,
+    send_message,
     split_batch,
     unpack_blob_list,
 )
 from repro.dist.worker import WorkerAgent
+
+
+# ----------------------------------------------------------------------
+# entries_frame / frame_entries over a real socket pair
+# ----------------------------------------------------------------------
+def _over_the_wire(header, payload):
+    a, b = socket.socketpair()
+    b.settimeout(10.0)
+    try:
+        send_message(a, header, payload)
+        return recv_message(b)
+    finally:
+        a.close(), b.close()
+
+
+def test_lone_entry_ships_as_the_plain_frame():
+    meta = {"job_id": "c1b1:j0", "attempt": 2}
+    header, payload = entries_frame("job", [(meta, b"blob")])
+    assert header == {"type": "job", "job_id": "c1b1:j0", "attempt": 2}
+    assert payload == b"blob"
+    assert meta == {"job_id": "c1b1:j0", "attempt": 2}  # not mutated
+    received = frame_entries(*_over_the_wire(header, payload))
+    assert [(m["job_id"], m["attempt"], bytes(blob))
+            for m, blob in received] == [("c1b1:j0", 2, b"blob")]
+
+
+def test_three_entries_ship_as_one_batch_frame():
+    entries = [({"job_id": "j0", "attempt": 1, "ok": True}, b"zero"),
+               ({"job_id": "j1", "attempt": 1, "ok": False,
+                 "retryable": False, "error": "boom"}, None),
+               ({"job_id": "j2", "attempt": 3, "ok": True}, b"two")]
+    header, payload = entries_frame("result", entries)
+    assert header == {"type": "result_batch",
+                      "results": [meta for meta, _ in entries]}
+    received = frame_entries(*_over_the_wire(header, payload))
+    assert [meta for meta, _ in received] == [meta for meta, _ in entries]
+    # The None payload travels as an empty blob.
+    assert [bytes(blob) for _, blob in received] == [b"zero", b"", b"two"]
+
+
+@pytest.mark.parametrize("kind,field", [("job_batch", "jobs"),
+                                        ("result_batch", "results")])
+def test_batch_blob_count_must_match_meta_count(kind, field):
+    header = {"type": kind, field: [{"job_id": "j0"}, {"job_id": "j1"}]}
+    with pytest.raises(ProtocolError):
+        frame_entries(header, memoryview(pack_blob_list([b"only one"])))
 
 
 # ----------------------------------------------------------------------

@@ -9,8 +9,9 @@ Three altitudes:
   ``0 <= deficit < 1 + weight`` after every grant;
 - **wire-level** directed regressions with bare sockets: a
   late-arriving small campaign overtakes a monster FIFO backlog, a
-  rejected weight never enqueues anything, and a crashed lease requeues
-  to the front of its *own* campaign's lane;
+  rejected weight (or a submit repeating a job id) never enqueues
+  anything, and a crashed lease requeues to the front of its *own*
+  campaign's lane;
 - **client-edge** rejection: ``weight=0`` dies in the runner
   constructor and at the broker's submit edge, never silently clamps.
 """
@@ -311,6 +312,23 @@ def test_zero_weight_rejected_at_submit_edge():
         assert header["type"] == "error"
         assert "weight" in header["error"]
         # Nothing was enqueued: the whole submit is rejected.
+        assert coordinator.status()["pending"] == 0
+        assert coordinator.stats.jobs_submitted == 0
+        client.close()
+
+
+def test_duplicate_job_ids_rejected_at_submit_edge():
+    """Records are keyed ``c<client>b<batch>:<job_id>``: a repeated id
+    would overwrite its twin, lease both under one key and settle only
+    once, so the broker rejects the whole submit instead."""
+    with Coordinator() as coordinator:
+        client = _client(coordinator.address, "dupes")
+        send_message(client, {"type": "submit", "job_ids": ["j0", "j0"]},
+                     pack_blob_list([dumps_payload((_echo, v))
+                                     for v in (1, 2)]))
+        header, _ = recv_message(client)
+        assert header["type"] == "error"
+        assert "duplicate" in header["error"]
         assert coordinator.status()["pending"] == 0
         assert coordinator.stats.jobs_submitted == 0
         client.close()

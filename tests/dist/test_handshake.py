@@ -23,7 +23,8 @@ from repro.dist.protocol import (
 
 
 @pytest.mark.parametrize("role", ["client", "worker"])
-@pytest.mark.parametrize("version", [None, PROTOCOL_VERSION + 1])
+@pytest.mark.parametrize("version", [None, PROTOCOL_VERSION - 1,
+                                     PROTOCOL_VERSION + 1])
 def test_hello_at_another_version_is_refused(role, version):
     with Coordinator() as coordinator:
         sock = socket.create_connection(("127.0.0.1", coordinator.port),

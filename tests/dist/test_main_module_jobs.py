@@ -15,6 +15,7 @@ import pickle
 import subprocess
 import sys
 import types
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +23,8 @@ from repro.dist import LocalCluster
 from repro.dist.cluster import sleepy_echo
 from repro.dist.runner import _dumps_portable
 from repro.experiments.widegrid import WideGridConfig, WideGridTrialSpec
+
+REPO_ROOT = Path(__file__).resolve().parents[2]
 
 
 def _fake_main(spec_name, monkeypatch):
@@ -91,13 +94,13 @@ def test_widegrid_cli_dist_matches_local_byte_for_byte():
             "--n-nodes", "12", "--seeds", "1", "--duration", "2.0"]
     env = {"PYTHONPATH": "src"}
     local = subprocess.run(
-        argv + ["--workers", "0"], env=env, cwd="/root/repo",
+        argv + ["--workers", "0"], env=env, cwd=REPO_ROOT,
         capture_output=True, text=True, timeout=120)
     assert local.returncode == 0, local.stderr
     with LocalCluster(n_workers=2, slots=2) as cluster:
         cluster.wait_for_workers()
         dist = subprocess.run(
-            argv + ["--dist", cluster.address], env=env, cwd="/root/repo",
+            argv + ["--dist", cluster.address], env=env, cwd=REPO_ROOT,
             capture_output=True, text=True, timeout=120)
     assert dist.returncode == 0, dist.stderr
     assert dist.stdout == local.stdout

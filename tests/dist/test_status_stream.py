@@ -1,7 +1,7 @@
 """The coordinator's live status stream (subscribe / status_update).
 
-Covers the wire protocol (subscribe ack, pushed snapshots, unsubscribe),
-the enriched ``status()`` snapshot (worker health + lease latency,
+Covers the wire protocol (subscribe ack, pushed snapshots), the
+enriched ``status()`` snapshot (worker health + lease latency,
 per-campaign progress/rate/ETA), the ``status --follow`` CLI line
 formatter, and the obs bridge that mirrors the stream into gauges.
 """
@@ -10,6 +10,7 @@ import socket
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -20,13 +21,11 @@ from repro.dist.cluster import sleepy_echo
 from repro.dist.protocol import recv_message, send_message
 
 
+REPO_ROOT = Path(__file__).resolve().parents[2]
+
+
 def _double(x):
     return 2 * x
-
-
-def _record_with_dropped(n):
-    """A run-record-shaped result whose Trace ring evicted ``n`` rows."""
-    return {"run_id": f"r{n}", "metrics": {"trace_dropped": n}}
 
 
 @pytest.fixture(scope="module")
@@ -77,22 +76,6 @@ class TestStatusStream:
                 assert worker["leases_granted"] >= 0
                 assert worker["lease_wait_avg_sec"] >= 0.0
 
-    def test_unsubscribe_stops_the_stream(self, cluster):
-        sock, _ = _subscribe(cluster.address, period=0.1)
-        try:
-            _next_update(sock)
-            send_message(sock, {"type": "unsubscribe"})
-            runner = cluster.runner()
-            deadline = time.monotonic() + 5.0
-            while time.monotonic() < deadline:
-                if runner.status()["subscribers"] == 0:
-                    break
-                time.sleep(0.05)
-            else:
-                pytest.fail("unsubscribe never took effect")
-        finally:
-            sock.close()
-
     def test_campaign_progress_and_lease_latency(self, cluster):
         runner = cluster.runner()
         jobs = [{"sleep_sec": 0.05, "value": i} for i in range(6)]
@@ -111,15 +94,6 @@ class TestStatusStream:
                    for w in status["workers"])
 
 
-    def test_trace_dropped_rides_result_frames_into_stats(self, cluster):
-        runner = cluster.runner()
-        before = runner.status()["stats"].get("trace_dropped", 0)
-        results = runner.map_jobs(_record_with_dropped, [3, 0, 4])
-        assert [r["metrics"]["trace_dropped"] for r in results] == [3, 0, 4]
-        after = runner.status()["stats"]["trace_dropped"]
-        assert after - before == 7  # the zero-row record adds nothing
-
-
 class TestFormatStatusLine:
     def test_plain_counters(self):
         line = format_status_line(
@@ -136,14 +110,6 @@ class TestFormatStatusLine:
                             "rate_per_sec": 2.0, "eta_sec": 2.0}]})
         assert "[grid: 16/20 @2.0/s eta=2s]" in line
 
-    def test_trace_dropped_shown_only_when_nonzero(self):
-        healthy = format_status_line(
-            {"stats": {"jobs_completed": 2, "trace_dropped": 0}})
-        assert "dropped=" not in healthy
-        lossy = format_status_line(
-            {"stats": {"jobs_completed": 2, "trace_dropped": 9}})
-        assert "dropped=9" in lossy
-
     def test_campaign_section_without_eta(self):
         line = format_status_line(
             {"campaigns": [{"name": "grid", "outstanding": 0,
@@ -158,7 +124,7 @@ class TestFollowCli:
             [sys.executable, "-m", "repro.dist", "status",
              "--connect", cluster.address, "--follow",
              "--interval", "0.1", "--max-updates", "2"],
-            env={"PYTHONPATH": "src"}, cwd="/root/repo",
+            env={"PYTHONPATH": "src"}, cwd=REPO_ROOT,
             capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
         lines = proc.stdout.strip().splitlines()
@@ -172,7 +138,7 @@ class TestFollowCli:
             [sys.executable, "-m", "repro.dist", "status",
              "--connect", cluster.address, "--follow", "--json",
              "--interval", "0.1", "--max-updates", "1"],
-            env={"PYTHONPATH": "src"}, cwd="/root/repo",
+            env={"PYTHONPATH": "src"}, cwd=REPO_ROOT,
             capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
         status = json.loads(proc.stdout.strip())

@@ -10,11 +10,14 @@ BENCH trend gate rests on.
 
 import sys
 import tracemalloc
+from pathlib import Path
 
 import repro.obs as obs
 from repro.net.medium import Medium
 from repro.net.topology import line
 from repro.sim.engine import Engine
+
+REPO_ROOT = Path(__file__).resolve().parents[2]
 
 
 def _assert_disabled():
@@ -120,6 +123,6 @@ def test_repro_obs_env_enables_fresh_processes():
         proc = subprocess.run(
             [sys.executable, "-c", code],
             env={"PYTHONPATH": "src", "REPRO_OBS": env_value},
-            cwd="/root/repo", capture_output=True, text=True, timeout=60)
+            cwd=REPO_ROOT, capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == expected
