@@ -3,12 +3,10 @@
 The case study's controllers "perform second order filtering with a PID
 regulator".  This package provides:
 
-- :class:`~repro.control.pid.PidController` -- a positional PID with
-  anti-windup and output clamping;
-- :class:`~repro.control.filters.SecondOrderLowpass` -- an RBJ biquad
-  low-pass (direct form II transposed);
+- :func:`~repro.control.filters.lowpass_coefficients` -- the RBJ biquad
+  low-pass design the law's filter stage uses;
 - :class:`~repro.control.controller.FilteredPidController` -- the composed
-  control law, in reference (Python) form;
+  control law in Python, which the gas plant's local regulators run;
 - :mod:`~repro.control.compiler` -- compiles the same law to EVM bytecode,
   so the simulated nodes genuinely interpret it (and migration genuinely
   transplants its state).
@@ -23,12 +21,8 @@ from repro.control.compiler import (
     compile_filtered_pid,
 )
 from repro.control.controller import ControlLawConfig, FilteredPidController
-from repro.control.filters import SecondOrderLowpass
-from repro.control.pid import PidController
 
 __all__ = [
-    "PidController",
-    "SecondOrderLowpass",
     "ControlLawConfig",
     "FilteredPidController",
     "compile_filtered_pid",

@@ -1,10 +1,11 @@
-"""The composed control law, in reference (pure Python) form.
+"""The composed control law, in pure Python form.
 
 :class:`FilteredPidController` mirrors the bytecode emitted by
 :func:`repro.control.compiler.compile_filtered_pid` *exactly* -- same state
 layout, same clamp order, prev-error initialized to zero -- so tests can
-assert the interpreter and the reference implementation agree step-for-step,
-and experiments can use either interchangeably.
+assert the interpreter and this implementation agree step-for-step.  The
+gas plant's local regulators run this form; the wireless controllers
+interpret the bytecode.
 """
 
 from __future__ import annotations
@@ -83,70 +84,34 @@ class ControlLawConfig:
 
 
 class FilteredPidController:
-    """Reference implementation over the same memory slots as the bytecode.
+    """The law in Python, over the same memory slots as the bytecode.
 
-    The law's constants are snapshotted into a flat tuple at construction
-    (the per-step dataclass attribute loads dominated the plant's
-    regulator sweep); retuning means building a new controller, exactly
-    as a retuned bytecode law means compiling a new program -- mutating
-    ``config`` after construction does not reach ``step``.
+    ``step`` is the one Python body of the law: the gas plant's local
+    regulators call it every plant step, and the tests check it against
+    the bytecode.  It is a self-free closure over ``memory`` and the
+    law's constants, built once at construction; retuning means building
+    a new controller, exactly as a retuned bytecode law means compiling a
+    new program -- mutating ``config`` after construction does not reach
+    ``step``.
     """
 
     def __init__(self, config: ControlLawConfig,
                  memory: list[float] | None = None) -> None:
         self.config = config
-        self.coefficients = config.coefficients()
+        self.coefficients = c = config.coefficients()
         if memory is None:
             memory = [0.0] * MEMORY_SLOTS
             memory[SLOT_SETPOINT] = config.setpoint
-        self.memory = memory
-        # Constants the per-period law reads, flattened into one tuple:
-        # step() runs for every loop on every plant step and the dataclass
-        # attribute loads dominated it.
-        c = self.coefficients
-        self._consts = (c.b0, c.b1, c.b2, c.a1, c.a2, config.dt_sec,
-                        config.integral_min, config.integral_max,
-                        config.kp, config.ki, config.kd,
-                        config.out_min, config.out_max)
-
-    def step(self, measurement: float) -> float:
-        """One control period; mirrors the bytecode instruction-for-instruction."""
-        (b0, b1, b2, a1, a2, dt_sec, integral_min, integral_max,
-         kp, ki, kd, out_min, out_max) = self._consts
-        mem = self.memory
-        mem[SLOT_INPUT] = measurement
-        x = mem[SLOT_INPUT]
-        y = b0 * x + mem[SLOT_FILTER_Z1]
-        mem[SLOT_FILTERED] = y
-        mem[SLOT_FILTER_Z1] = b1 * x - a1 * y + mem[SLOT_FILTER_Z2]
-        mem[SLOT_FILTER_Z2] = b2 * x - a2 * y
-        error = mem[SLOT_SETPOINT] - y
-        integral = mem[SLOT_INTEGRAL] + error * dt_sec
-        # Clamps are the builtins written out: CPython's two-argument
-        # min/max return the second argument only on a strict compare,
-        # so these conditionals are bit-identical (ties and -0.0
-        # included) while skipping two calls per clamp on the plant's
-        # hottest loop.
-        integral = integral if integral < integral_max else integral_max
-        integral = integral if integral > integral_min else integral_min
-        mem[SLOT_INTEGRAL] = integral
-        derivative = (error - mem[SLOT_PREV_ERROR]) / dt_sec
-        output = (kd * derivative + kp * error + ki * integral)
-        output = output if output < out_max else out_max
-        output = output if output > out_min else out_min
-        mem[SLOT_OUTPUT] = output
-        mem[SLOT_PREV_ERROR] = error
-        return output
-
-    def compiled_step(self):
-        """:meth:`step` as a self-free closure for prebound regulator
-        sweeps: same memory list, same float ops, one attribute load
-        and tuple unpack less per period."""
-        (b0, b1, b2, a1, a2, dt_sec, integral_min, integral_max,
-         kp, ki, kd, out_min, out_max) = self._consts
-        mem = self.memory
+        self.memory = mem = memory
+        b0, b1, b2, a1, a2 = c.b0, c.b1, c.b2, c.a1, c.a2
+        dt_sec = config.dt_sec
+        integral_min, integral_max = config.integral_min, config.integral_max
+        kp, ki, kd = config.kp, config.ki, config.kd
+        out_min, out_max = config.out_min, config.out_max
 
         def step(measurement: float) -> float:
+            """One control period; mirrors the bytecode
+            instruction-for-instruction."""
             mem[SLOT_INPUT] = measurement
             x = measurement
             y = b0 * x + mem[SLOT_FILTER_Z1]
@@ -155,6 +120,11 @@ class FilteredPidController:
             mem[SLOT_FILTER_Z2] = b2 * x - a2 * y
             error = mem[SLOT_SETPOINT] - y
             integral = mem[SLOT_INTEGRAL] + error * dt_sec
+            # Clamps are the builtins written out: CPython's two-argument
+            # min/max return the second argument only on a strict
+            # compare, so these conditionals are bit-identical (ties and
+            # -0.0 included) while skipping two calls per clamp on the
+            # plant's hottest loop.
             integral = integral if integral < integral_max else integral_max
             integral = integral if integral > integral_min else integral_min
             mem[SLOT_INTEGRAL] = integral
@@ -166,7 +136,7 @@ class FilteredPidController:
             mem[SLOT_PREV_ERROR] = error
             return output
 
-        return step
+        self.step = step
 
     @property
     def output(self) -> float:

@@ -1,10 +1,12 @@
-"""Second-order digital filtering.
+"""Second-order digital filter design.
 
 The case-study controllers low-pass the noisy wireless level measurement
 before the PID.  We use the standard RBJ biquad low-pass (bilinear
-transform, Q = 1/sqrt(2) for a Butterworth response), evaluated in direct
-form II transposed -- two state variables, which is exactly the amount of
-filter state that task migration must carry across nodes.
+transform, Q = 1/sqrt(2) for a Butterworth response).  The composed law
+(:mod:`repro.control.compiler` and :mod:`repro.control.controller`)
+evaluates it in direct form II transposed -- two state variables, which
+is exactly the amount of filter state that task migration must carry
+across nodes.
 """
 
 from __future__ import annotations
@@ -47,35 +49,3 @@ def lowpass_coefficients(cutoff_hz: float, dt_sec: float,
         a1=(-2.0 * cos_w0) / a0,
         a2=(1.0 - alpha) / a0,
     )
-
-
-class SecondOrderLowpass:
-    """Stateful biquad in direct form II transposed."""
-
-    def __init__(self, coefficients: BiquadCoefficients) -> None:
-        self.coefficients = coefficients
-        self.z1 = 0.0
-        self.z2 = 0.0
-
-    @classmethod
-    def from_cutoff(cls, cutoff_hz: float, dt_sec: float) -> "SecondOrderLowpass":
-        return cls(lowpass_coefficients(cutoff_hz, dt_sec))
-
-    def step(self, x: float) -> float:
-        c = self.coefficients
-        y = c.b0 * x + self.z1
-        self.z1 = c.b1 * x - c.a1 * y + self.z2
-        self.z2 = c.b2 * x - c.a2 * y
-        return y
-
-    def reset(self) -> None:
-        self.z1 = 0.0
-        self.z2 = 0.0
-
-    def settle_to(self, value: float) -> None:
-        """Preload the state so the filter starts settled at ``value``
-        (avoids a startup transient when a controller comes online)."""
-        c = self.coefficients
-        # At steady state y = x = value:
-        self.z2 = c.b2 * value - c.a2 * value
-        self.z1 = c.b1 * value - c.a1 * value + self.z2

@@ -21,7 +21,7 @@ Both cluster flavours are **elastic**: ``spawn_workers(n)`` /
 ``retire_workers(n)`` grow and drain the fleet at runtime, and the
 ``scale_up``/``scale_down`` aliases make a cluster directly usable as
 an :class:`~repro.dist.autoscale.Autoscaler` driver (pass
-``autoscale=(min, max)`` or a full policy to wire that up at
+it with a policy to ``cluster.coordinator.set_autoscaler`` after
 construction).  :class:`SubprocessWorkerFleet` is the same driver
 contract for a standalone coordinator (the ``python -m repro.dist
 coordinator --autoscale min:max`` path): it spawns real ``python -m
@@ -108,9 +108,7 @@ class LocalCluster:
                  lease_timeout: float | None = None,
                  worker_timeout: float | None = None,
                  heartbeat_period: float = 0.2,
-                 max_attempts: int | None = None,
-                 autoscale: Any = None,
-                 autoscale_period: float = 0.25) -> None:
+                 max_attempts: int | None = None) -> None:
         if mode not in ("thread", "subprocess"):
             raise ValueError(f"unknown cluster mode {mode!r}")
         self.mode = mode
@@ -136,17 +134,6 @@ class LocalCluster:
         self._workers_lock = threading.Lock()
         for _ in range(n_workers):
             self._append_worker()
-        # ``autoscale=(min, max)`` (or a full AutoscalePolicy) wires
-        # this cluster up as its own scale driver.
-        self.autoscaler = None
-        if autoscale is not None:
-            from repro.dist.autoscale import AutoscalePolicy
-
-            policy = (autoscale if isinstance(autoscale, AutoscalePolicy)
-                      else AutoscalePolicy(min_workers=autoscale[0],
-                                           max_workers=autoscale[1]))
-            self.autoscaler = self.coordinator.set_autoscaler(
-                policy, self, period=autoscale_period)
 
     # ------------------------------------------------------------------
     @property

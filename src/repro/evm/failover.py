@@ -20,7 +20,7 @@ deterministic rule every node can verify.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 class ControllerMode(enum.Enum):
@@ -90,14 +90,3 @@ class FailoverPolicy:
 
     demote_mode: ControllerMode = ControllerMode.INDICATOR
     dormant_delay_ticks: int = 200 * 1_000_000
-
-
-@dataclass
-class ModeChange:
-    """One arbitration outcome, as shipped to the affected nodes."""
-
-    task: str
-    new_primary: str
-    demoted: str | None
-    modes: dict[str, ControllerMode] = field(default_factory=dict)
-    epoch: int = 0

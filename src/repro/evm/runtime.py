@@ -84,7 +84,6 @@ class RuntimeStats:
     snapshots_applied: int = 0
     faults_reported: int = 0
     failovers_executed: int = 0
-    heartbeats_sent: int = 0
     vm_faults: int = 0
     capsules_installed: int = 0
     messages_handled: int = 0
@@ -377,6 +376,9 @@ class EvmRuntime:
             return
         if instance.jobs_run % self.state_sharing.snapshot_every_jobs != 0:
             return
+        assignment = self.vc.assignments.get(instance.name)
+        if assignment is None or not assignment.backups:
+            return  # only a BACKUP applies a snapshot (_on_state)
         shared = instance.memory[:self.state_sharing.snapshot_slots]
         payload = {
             "task": instance.name,
@@ -418,14 +420,10 @@ class EvmRuntime:
             self._on_data(packet)
         elif kind == "evm.state":
             self._on_state(packet)
-        elif kind == "evm.heartbeat":
-            pass  # heartbeat side effect already applied
         elif kind == "evm.fault":
             self._on_fault_report(packet)
         elif kind == "evm.mode":
             self._on_mode_change(packet)
-        elif kind == "evm.capsule":
-            self._on_capsule(packet)
         elif kind == "evm.capfrag":
             self._on_capsule_fragment(packet)
         elif kind == "evm.hello":
@@ -686,9 +684,6 @@ class EvmRuntime:
                 self.kernel.resume_task(task_name)
 
     # -- capsules / membership / halt -------------------------------------
-    def _on_capsule(self, packet: Packet) -> None:
-        self._adopt_capsule(packet.payload)
-
     def _on_capsule_fragment(self, packet: Packet) -> None:
         payload = packet.payload
         key = (payload["name"], payload["version"])

@@ -370,11 +370,8 @@ class HilRig:
         for node_id, runtime in self.runtimes.items():
             for task_name, offset in self._task_offsets.items():
                 if runtime.kernel.has_task(task_name) and offset > 0:
-                    self._rephase(runtime.kernel, task_name, offset)
-
-    def _rephase(self, kernel, task_name: str, offset_ticks: int) -> None:
-        """Restart a periodic task's release chain at ``offset_ticks``."""
-        kernel.scheduler.rephase_release(task_name, offset_ticks)
+                    runtime.kernel.scheduler.rephase_release(task_name,
+                                                             offset)
 
     # ------------------------------------------------------------------
     # Execution
@@ -393,17 +390,8 @@ class HilRig:
         self.engine.run_until(self.engine.now + int(seconds * SEC))
 
     # ------------------------------------------------------------------
-    # Scenario controls
+    # Queries
     # ------------------------------------------------------------------
-    def inject_controller_fault(self, value_pct: float = 75.0) -> None:
-        """Wedge the ACTIVE controller's published valve output."""
-        primary, _ = self.runtimes[CTRL_A].task_primaries[TASK_CTRL]
-        self.runtimes[primary].inject_output_fault(TASK_CTRL, SLOT_OUTPUT,
-                                                   value_pct)
-
-    def crash_node(self, node_id: str) -> None:
-        self.kernels[node_id].crash()
-
     def active_controller(self) -> str:
         """The actuator's current view of who commands the valve."""
         return self.runtimes[ACTUATOR].task_primaries[TASK_CTRL][0]
@@ -417,9 +405,6 @@ class HilRig:
         if instance is not None and len(instance.memory) > SLOT_SETPOINT:
             return instance.memory[SLOT_SETPOINT]
         return self.loop.config.setpoint
-
-    def controller_mode(self, node_id: str) -> ControllerMode:
-        return self.runtimes[node_id].instances[TASK_CTRL].mode
 
     def read(self, sensor: str) -> float:
         return self.plant.flowsheet.read(sensor)

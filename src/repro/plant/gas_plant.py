@@ -337,7 +337,7 @@ class NaturalGasPlant:
         compiled = self._local_compiled
         if compiled is None:
             compiled = self._local_compiled = [
-                (self._local_controllers[loop.name].compiled_step(),
+                (self._local_controllers[loop.name].step,
                  self.flowsheet.sensor_tap(loop.pv),
                  self.flowsheet.actuator_tap(loop.mv))
                 for loop in self.loops if loop.name in self._local_enabled]

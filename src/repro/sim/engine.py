@@ -17,7 +17,8 @@ Two scheduling calls share the queue:
 Both dispatch identically; the sequence number keeps the total order
 exactly as if every event had gone through ``schedule``.  Events run
 through :meth:`Engine.run` (drain the queue) or :meth:`Engine.run_until`
-(stop at a time horizon).
+(stop at a time horizon); both are the one event loop,
+:meth:`Engine._dispatch`, run to an infinite or a given horizon.
 
 Callers that *rarely* cancel should not pay for ``schedule`` either: the
 idiom used by :class:`~repro.sim.process.Process` and the RTOS periodic
@@ -32,6 +33,7 @@ is skipped; total order of live events is identical either way.
 from __future__ import annotations
 
 import heapq
+import math
 from typing import Any, Callable
 
 from repro.obs import instrument
@@ -39,6 +41,9 @@ from repro.sim.clock import SimClock, format_time
 
 _heappush = heapq.heappush
 _heappop = heapq.heappop
+
+_DRAIN = math.inf
+"""The horizon of :meth:`Engine.run`: past every event, so the queue drains."""
 
 
 class SimulationError(RuntimeError):
@@ -173,32 +178,7 @@ class Engine:
     def run(self) -> int:
         """Run until the queue drains.  Returns the number of events
         dispatched."""
-        if self._running:
-            raise SimulationError("engine is not reentrant")
-        self._running = True
-        dispatched = 0
-        queue = self._queue
-        clock = self.clock
-        pop = _heappop
-        # The live/dispatched counters flush once in `finally`: both are
-        # only observable between runs (callbacks never read them mid-run).
-        try:
-            while queue:
-                when, _prio, _seq, handle, callback, args = pop(queue)
-                if handle is not None:
-                    if handle.cancelled:
-                        continue
-                    handle.dispatched = True
-                clock._now = when
-                dispatched += 1
-                callback(*args)
-        finally:
-            self._running = False
-            self._live -= dispatched
-            self._dispatched_count += dispatched
-            if self._obs is not None:
-                self._flush_obs(dispatched)
-        return dispatched
+        return self._dispatch(_DRAIN)
 
     def _flush_obs(self, dispatched: int) -> None:
         """Publish run-boundary telemetry (only called when enabled)."""
@@ -212,15 +192,22 @@ class Engine:
         """Run events with timestamps ``<= when``; clock lands exactly on it.
 
         Returns the number of events dispatched.  Events scheduled beyond
-        ``when`` remain queued for a later call.  The heap is walked once:
-        each entry is peeked and popped at most one time (cancelled
-        entries included), instead of the peek-then-step double walk.
+        ``when`` remain queued for a later call.
         """
         if when < self.clock.now:
             raise SimulationError(
                 f"run_until({format_time(when)}) is in the past "
                 f"(now {format_time(self.clock.now)})"
             )
+        return self._dispatch(when)
+
+    def _dispatch(self, horizon: float) -> int:
+        """The event loop: dispatch every event with a timestamp
+        ``<= horizon``, then land the clock on a finite horizon.
+
+        The heap is walked once: each entry is peeked and popped at most
+        one time (cancelled entries included).
+        """
         if self._running:
             raise SimulationError("engine is not reentrant")
         self._running = True
@@ -228,10 +215,12 @@ class Engine:
         queue = self._queue
         clock = self.clock
         pop = _heappop
+        # The live/dispatched counters flush once in `finally`: both are
+        # only observable between runs (callbacks never read them mid-run).
         try:
             while queue:
                 entry_when, _prio, _seq, handle, callback, args = queue[0]
-                if entry_when > when:
+                if entry_when > horizon:
                     break
                 pop(queue)
                 if handle is not None:
@@ -241,7 +230,10 @@ class Engine:
                 clock._now = entry_when
                 dispatched += 1
                 callback(*args)
-            clock.advance_to(when)
+            # Landing before `finally` lets the telemetry flush read the
+            # clock where the run left it.
+            if horizon is not _DRAIN:
+                clock.advance_to(horizon)
         finally:
             self._running = False
             self._live -= dispatched

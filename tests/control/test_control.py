@@ -1,6 +1,4 @@
-"""PID, second-order filter, compiled control law."""
-
-import math
+"""The filtered-PID law: its PID and filter stages, and the compiled form."""
 
 import pytest
 
@@ -14,84 +12,85 @@ from repro.control.compiler import (
     compile_passthrough,
 )
 from repro.control.controller import ControlLawConfig, FilteredPidController
-from repro.control.filters import (
-    SecondOrderLowpass,
-    lowpass_coefficients,
-)
-from repro.control.pid import PidController, PidGains
+from repro.control.filters import lowpass_coefficients
 from repro.evm.interpreter import Interpreter
 
 
+def _law(kp=0.0, ki=0.0, kd=0.0, dt_sec=0.1, setpoint=0.0,
+         cutoff_hz=0.2, **bounds):
+    """The law preloaded at rest at measurement 0 and output 0: the filter
+    is settled (it passes 0 exactly) and the previous error equals the
+    current one, so each PID term acts on an exact error."""
+    config = ControlLawConfig(kp=kp, ki=ki, kd=kd, dt_sec=dt_sec,
+                              setpoint=setpoint, filter_cutoff_hz=cutoff_hz,
+                              **bounds)
+    return FilteredPidController(config,
+                                 list(config.initial_memory(0.0, 0.0)))
+
+
 class TestPid:
+    """The PID stage of the law the plant runs."""
+
     def test_proportional_action(self):
-        pid = PidController(PidGains(kp=2.0), dt_sec=0.1, out_min=-100,
-                            out_max=100)
-        assert pid.step(5.0) == pytest.approx(10.0)
+        law = _law(kp=2.0, setpoint=5.0, out_min=-100, out_max=100)
+        assert law.step(0.0) == pytest.approx(10.0)
 
     def test_integral_accumulates(self):
-        pid = PidController(PidGains(kp=0.0, ki=1.0), dt_sec=0.5,
-                            out_min=-100, out_max=100)
-        pid.step(2.0)
-        assert pid.step(2.0) == pytest.approx(2.0)  # integral = 2*0.5*2
+        law = _law(ki=1.0, dt_sec=0.5, setpoint=2.0, out_min=-100,
+                   out_max=100)
+        law.step(0.0)
+        assert law.step(0.0) == pytest.approx(2.0)  # integral = 2*0.5*2
 
     def test_derivative_kick_suppressed_first_step(self):
-        pid = PidController(PidGains(kp=0.0, kd=1.0), dt_sec=0.1,
-                            out_min=-100, out_max=100)
-        assert pid.step(5.0) == 0.0
-        assert pid.step(6.0) == pytest.approx(10.0)
+        law = _law(kd=1.0, setpoint=5.0, out_min=-100, out_max=100)
+        assert law.step(0.0) == 0.0
+        law.memory[SLOT_SETPOINT] = 6.0
+        assert law.step(0.0) == pytest.approx(10.0)
 
     def test_output_clamping(self):
-        pid = PidController(PidGains(kp=100.0), dt_sec=0.1, out_min=0,
-                            out_max=100)
-        assert pid.step(50.0) == 100.0
-        assert pid.step(-50.0) == 0.0
+        law = _law(kp=100.0, setpoint=50.0, out_min=0, out_max=100)
+        assert law.step(0.0) == 100.0
+        law.memory[SLOT_SETPOINT] = -50.0
+        assert law.step(0.0) == 0.0
 
     def test_anti_windup(self):
-        pid = PidController(PidGains(kp=0.0, ki=1.0), dt_sec=1.0, out_min=0,
-                            out_max=100, integral_min=-5, integral_max=5)
+        law = _law(ki=1.0, dt_sec=1.0, setpoint=10.0, out_min=0,
+                   out_max=100, integral_min=-5, integral_max=5)
         for _ in range(100):
-            pid.step(10.0)
-        assert pid.integral == 5.0
-
-    def test_reset(self):
-        pid = PidController(PidGains(kp=1.0, ki=1.0), dt_sec=0.1)
-        pid.step(1.0)
-        pid.reset()
-        assert pid.integral == 0.0
-        assert pid.prev_error is None
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            PidController(PidGains(1.0), dt_sec=0.0)
-        with pytest.raises(ValueError):
-            PidController(PidGains(1.0), dt_sec=0.1, out_min=5, out_max=1)
+            law.step(0.0)
+        assert law.memory[SLOT_INTEGRAL] == 5.0
 
 
 class TestFilter:
     def test_dc_gain_is_unity(self):
-        lp = SecondOrderLowpass.from_cutoff(0.5, 0.1)
-        y = 0.0
-        for _ in range(500):
-            y = lp.step(10.0)
-        assert y == pytest.approx(10.0, rel=1e-3)
+        c = lowpass_coefficients(0.5, 0.1)
+        assert (c.b0 + c.b1 + c.b2) / (1.0 + c.a1 + c.a2) == \
+            pytest.approx(1.0, rel=1e-12)
 
     def test_attenuates_high_frequency(self):
+        """The law's filter stage, read through SLOT_FILTERED with the
+        PID gains at zero."""
         dt = 0.05
-        lp = SecondOrderLowpass.from_cutoff(0.2, dt)
+        law = _law(dt_sec=dt)
         # 5 Hz square-ish dither around 10 after settling.
         for _ in range(400):
-            lp.step(10.0)
-        outputs = []
+            law.step(10.0)
+        filtered = []
         for i in range(200):
-            x = 10.0 + (5.0 if i % 2 == 0 else -5.0)
-            outputs.append(lp.step(x))
-        ripple = max(outputs) - min(outputs)
+            law.step(10.0 + (5.0 if i % 2 == 0 else -5.0))
+            filtered.append(law.memory[SLOT_FILTERED])
+        ripple = max(filtered) - min(filtered)
         assert ripple < 1.0  # 10-unit input swing crushed
 
     def test_settle_to_removes_transient(self):
-        lp = SecondOrderLowpass.from_cutoff(0.5, 0.1)
-        lp.settle_to(42.0)
-        assert lp.step(42.0) == pytest.approx(42.0, rel=1e-9)
+        """``initial_memory`` preloads the filter state settled at the
+        measurement, so the first filtered sample equals it."""
+        config =ControlLawConfig(kp=0.0, ki=0.0, kd=0.0, dt_sec=0.1,
+                                  setpoint=0.0, filter_cutoff_hz=0.5)
+        law = FilteredPidController(
+            config, list(config.initial_memory(42.0, 0.0)))
+        law.step(42.0)
+        assert law.memory[SLOT_FILTERED] == pytest.approx(42.0, rel=1e-9)
 
     def test_coefficient_validation(self):
         with pytest.raises(ValueError):

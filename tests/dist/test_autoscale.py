@@ -221,8 +221,8 @@ def test_cluster_grows_on_spike_and_shrinks_on_drain():
                              backlog_per_worker=2.0,
                              up_cooldown_sec=0.05,
                              down_cooldown_sec=0.15)
-    with LocalCluster(n_workers=0, slots=1, autoscale=policy,
-                      autoscale_period=0.05) as cluster:
+    with LocalCluster(n_workers=0, slots=1) as cluster:
+        cluster.coordinator.set_autoscaler(policy, cluster, period=0.05)
         # Bootstrap: 0 workers is below min, the policy spawns one.
         _wait_until(lambda: _fleet(cluster) >= 1, what="bootstrap worker")
         runner = cluster.runner()

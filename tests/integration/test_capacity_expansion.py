@@ -24,6 +24,7 @@ from repro.experiments.hil import (
     HilRig,
     TASK_CTRL,
 )
+from repro.scenarios import NodeCrash, OutputWedge
 from repro.sim.clock import SEC
 
 
@@ -76,12 +77,12 @@ class TestCapacityExpansion:
     def test_double_failure_survived(self):
         rig = expanded_rig()
         # Failure 1: the primary wedges; a backup takes over.
-        rig.inject_controller_fault(75.0)
+        OutputWedge(TASK_CTRL, 75.0).apply(rig)
         rig.run_for_seconds(15.0)
         first_successor = rig.active_controller()
         assert first_successor in (CTRL_B, CTRL_C)
         # Failure 2: the new primary crashes outright.
-        rig.crash_node(first_successor)
+        NodeCrash(first_successor).apply(rig)
         rig.run_for_seconds(15.0)
         survivor = rig.active_controller()
         assert survivor in {CTRL_B, CTRL_C} - {first_successor}

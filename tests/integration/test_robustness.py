@@ -56,7 +56,8 @@ class TestLossyLinks:
         rig = HilRig(spec)
         rig.run_for_seconds(50.0)
         assert rig.active_controller() == CTRL_B
-        assert rig.controller_mode(CTRL_B) is ControllerMode.ACTIVE
+        assert rig.runtimes[CTRL_B].instances[TASK_CTRL].mode is \
+            ControllerMode.ACTIVE
 
     def test_heavy_loss_degrades_but_does_not_crash(self):
         rig = HilRig(scenario("loss-50pct", 40.0)

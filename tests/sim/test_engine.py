@@ -1,6 +1,10 @@
 """Engine: ordering, cancellation, run windows, determinism."""
 
+import itertools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim.clock import MS, SEC, SimClock, format_time
 from repro.sim.engine import Engine, SimulationError
@@ -156,3 +160,57 @@ class TestDeterminism:
             return order
 
         assert run_once() == run_once()
+
+
+# An initial event: (delay, priority, follow-ups it posts when it fires
+# as (delay, priority) pairs, an initial event it cancels when it fires,
+# cancelled before the run starts).
+_events = st.lists(
+    st.tuples(st.integers(0, 50), st.integers(-2, 2),
+              st.lists(st.tuples(st.integers(0, 50), st.integers(-2, 2)),
+                       max_size=3),
+              st.none() | st.integers(0, 19),
+              st.booleans()),
+    max_size=20)
+
+
+def _play(spec, drive):
+    engine = Engine()
+    log = []
+    handles = []
+    follow_up_ids = itertools.count(len(spec))
+
+    def fire(event_id, follow_ups, victim):
+        log.append((engine.now, event_id))
+        if victim is not None:
+            handles[victim].cancel()
+        for delay, priority in follow_ups:
+            engine.post(delay, fire, next(follow_up_ids), (), None,
+                        priority=priority)
+
+    for i, (delay, priority, follow_ups, victim, _) in enumerate(spec):
+        victim = None if victim is None else victim % len(spec)
+        handles.append(engine.schedule(delay, fire, i, follow_ups, victim,
+                                       priority=priority))
+    for handle, (*_, cancelled) in zip(handles, spec):
+        if cancelled:
+            handle.cancel()
+    dispatched = drive(engine)
+    return (log, dispatched, engine.pending_events,
+            [handle.dispatched for handle in handles], engine.now)
+
+
+class TestEntryPointsAgree:
+    @settings(max_examples=60, deadline=None)
+    @given(_events, st.integers(100, 10_000))
+    def test_run_and_run_until_dispatch_alike(self, spec, horizon):
+        """Every event lands at or before tick 100, so draining the queue
+        and running to any later horizon dispatch the same events in the
+        same order; only where the clock ends differs."""
+        drained = _play(spec, Engine.run)
+        bounded = _play(spec, lambda engine: engine.run_until(horizon))
+        assert bounded[:4] == drained[:4]
+        assert drained[1] == len(drained[0])
+        assert drained[2] == 0
+        assert drained[4] == (drained[0][-1][0] if drained[0] else 0)
+        assert bounded[4] == horizon
