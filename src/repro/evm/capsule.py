@@ -2,9 +2,10 @@
 
 A :class:`Capsule` wraps an encoded EVM program with a version number and an
 integrity digest.  Nodes keep a :class:`CapsuleStore`; installing a capsule
-verifies the digest, enforces monotone versions, decodes the program once,
-charges ROM budget, and makes the program available to the local
-interpreter (registering words).
+verifies the digest, enforces monotone versions, decodes and verifies the
+program once (it must compile), charges ROM budget, and makes the program
+available to the local interpreter (registering words).  A capsule that
+fails a check changes nothing: the installed version keeps running.
 
 Dissemination is viral, Mate-style: the runtime rebroadcasts any capsule
 that was news to it, so new control laws proliferate through a Virtual
@@ -14,11 +15,13 @@ Component without per-node flashing.
 from __future__ import annotations
 
 import hashlib
+import struct
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
 from repro.evm.bytecode import Program
+from repro.evm.interpreter import VmError, compile_program
 
 
 @dataclass(frozen=True)
@@ -71,7 +74,8 @@ def _decode(blob: bytes) -> Program:
 
 
 class CapsuleInstallError(RuntimeError):
-    """Raised when a capsule fails verification or does not fit ROM."""
+    """Raised when a capsule fails its digest or its program does not
+    decode or compile (ROM overflow raises ``MemoryExhausted``)."""
 
 
 class CapsuleStore:
@@ -85,6 +89,7 @@ class CapsuleStore:
         # Decoded once at install: jobs run the installed Program as is.
         self._programs: dict[str, Program] = {}
         self.rejected_corrupt = 0
+        self.rejected_invalid = 0
         self.rejected_stale = 0
 
     def version_of(self, name: str) -> int:
@@ -98,10 +103,13 @@ class CapsuleStore:
         return version is None or capsule.version >= version
 
     def install(self, capsule: Capsule) -> bool:
-        """Install if newer and intact.  Returns True if it was news.
+        """Install if newer, intact and well formed.  Returns True if it
+        was news; silently refuses stale versions (returns False).
 
-        Raises :class:`CapsuleInstallError` on corruption (the sender should
-        retransmit); silently refuses stale versions (returns False).
+        Decodes and compiles the program once, before touching ROM or the
+        installed version.  Raises :class:`CapsuleInstallError` on a digest
+        mismatch (the sender should retransmit) or a program that does not
+        decode or compile (counted in ``rejected_invalid``).
         """
         if not capsule.verify():
             self.rejected_corrupt += 1
@@ -111,7 +119,14 @@ class CapsuleStore:
         if capsule.version <= self.version_of(capsule.name):
             self.rejected_stale += 1
             return False
-        program = capsule.program()
+        try:
+            program = capsule.program()
+            compile_program(program)
+        except (ValueError, IndexError, struct.error, VmError) as exc:
+            self.rejected_invalid += 1
+            raise CapsuleInstallError(
+                f"capsule {capsule.name!r} v{capsule.version} is not a "
+                f"valid program: {exc}") from exc
         if self.rom_bank is not None:
             region = f"capsule:{capsule.name}"
             existing = self._capsules.get(capsule.name)

@@ -9,18 +9,21 @@ Extensibility (the paper's departure from Mate): new *words* can be
 registered at runtime and invoked by ``WORD`` instructions, and *host hooks*
 bind ``HOST``/``IN``/``OUT`` to kernel, sensor and network operations.
 
-Dispatch is direct-threaded: each :class:`~repro.evm.bytecode.Program` is
-compiled once per process into a per-instruction list of ``(handler, arg)``
-pairs built from a dispatch table, so the inner loop is "index, call"
-instead of a 30-way opcode chain.  The code is kept on the program object
-and shared by every interpreter that runs it; one slot is one instruction
-and one step.  Compile-time work (float coercion of PUSH literals,
-jump-range validation, channel/host/word name resolution) is hoisted out of
-the loop, but every *runtime-visible* behaviour -- error strings, the
-program state at the moment an error is raised, step accounting and budget
-pauses, the root-table fallback for empty name tables -- is bit-identical
-to the naive dispatcher; the golden-determinism suite pins this against a
-reference transcription of the seed's dispatch loop.
+A program runs only if it compiles: :func:`compile_program` checks each
+program once, when it loads, and translates it into direct-threaded code,
+a per-instruction list of ``(handler, arg)`` pairs, so the inner loop is
+"index, call" instead of a 30-way opcode chain.  It raises
+:class:`VmError` before any instruction runs if a ``JMP``/``JZ``/``CALL``
+target lies outside ``0..len(program)`` or an ``IN``/``OUT``/``HOST``/
+``WORD`` index outside the program's own table (an empty one included).
+The code is kept on the program object and shared by every interpreter
+that runs it; one slot is one instruction and one step.  What depends on
+the run stays a run-time error: ``LOAD``/``STORE`` slots (memory size is
+per instance), unbound channels, hooks and words, stack underflow and
+overflow, division by zero and the step budget.  For programs that
+compile, all of it is bit-identical to the naive dispatcher; the
+golden-determinism suite pins this against a reference transcription of
+the seed's dispatch loop.
 """
 
 from __future__ import annotations
@@ -37,7 +40,8 @@ reports ~1:33 vs native; we include dispatch overhead)."""
 
 
 class VmError(RuntimeError):
-    """Raised for stack violations, bad jumps, missing hooks, step overrun."""
+    """Raised when a program does not compile (bad jump target or table
+    index) and when a run faults (stack, slot, binding, division, budget)."""
 
 
 @dataclass(slots=True)
@@ -80,8 +84,8 @@ class VmState:
 # returns a truthy value only when it switched the current routine (RET,
 # WORD), telling the run loop to reload its compiled-code pointer.  The
 # stack is manipulated inline -- list.append / list.pop on the state's
-# stack list -- with the same bound checks and error strings the
-# ExecutionContext methods produce.
+# stack list -- with the same bound checks and error strings as
+# ExecutionContext.push / pop.
 # ----------------------------------------------------------------------
 def _underflow(state) -> VmError:
     return VmError(f"stack underflow in {state.routine!r}")
@@ -307,10 +311,6 @@ def _h_jmp(ctx, state, stack, arg):
     state.pc = arg
 
 
-def _h_jmp_bad(ctx, state, stack, arg):
-    raise VmError(f"jump target {arg} out of range in {state.routine!r}")
-
-
 def _h_jz(ctx, state, stack, arg):
     if not stack:
         raise _underflow(state)
@@ -318,25 +318,9 @@ def _h_jz(ctx, state, stack, arg):
         state.pc = arg
 
 
-def _h_jz_bad(ctx, state, stack, arg):
-    # Out-of-range target, validated only when the branch is taken (the
-    # naive dispatcher popped first and jumped second).
-    if not stack:
-        raise _underflow(state)
-    if stack.pop() == 0.0:
-        raise VmError(f"jump target {arg} out of range in {state.routine!r}")
-
-
 def _h_call(ctx, state, stack, arg):
     state.rstack.append((state.routine, state.pc))
     state.pc = arg
-
-
-def _h_call_bad(ctx, state, stack, arg):
-    # The return frame is pushed before the jump validates, matching the
-    # state observable from the raised error.
-    state.rstack.append((state.routine, state.pc))
-    raise VmError(f"jump target {arg} out of range in {state.routine!r}")
 
 
 def _h_ret(ctx, state, stack, arg):
@@ -370,7 +354,7 @@ def _h_store(ctx, state, stack, arg):
     memory[arg] = value
 
 
-def _h_in_named(ctx, state, stack, name):
+def _h_in(ctx, state, stack, name):
     fn = ctx.interpreter._channels_in.get(name)
     if fn is None:
         raise VmError(f"no input bound for channel {name!r}")
@@ -380,7 +364,7 @@ def _h_in_named(ctx, state, stack, name):
     stack.append(value)
 
 
-def _h_out_named(ctx, state, stack, name):
+def _h_out(ctx, state, stack, name):
     # Pop first: OUT consumed its operand before any channel validation.
     if not stack:
         raise _underflow(state)
@@ -391,14 +375,14 @@ def _h_out_named(ctx, state, stack, name):
     fn(value)
 
 
-def _h_host_named(ctx, state, stack, name):
+def _h_host(ctx, state, stack, name):
     fn = ctx.interpreter._hosts.get(name)
     if fn is None:
         raise VmError(f"no host hook registered for {name!r}")
     fn(ctx)
 
 
-def _h_word_named(ctx, state, stack, name):
+def _h_word(ctx, state, stack, name):
     if name not in ctx.interpreter._words:
         raise VmError(f"word {name!r} not installed")
     state.rstack.append((state.routine, state.pc))
@@ -407,54 +391,10 @@ def _h_word_named(ctx, state, stack, name):
     return True
 
 
-def _h_in_dynamic(ctx, state, stack, arg):
-    # Empty channel table at compile time: resolve through the root
-    # program's tables at run time, exactly like the naive dispatcher.
-    value = ctx.read_channel(arg)
-    if len(stack) >= ctx._max_stack:
-        raise _overflow(ctx, state)
-    stack.append(value)
-
-
-def _h_out_dynamic(ctx, state, stack, arg):
-    if not stack:
-        raise _underflow(state)
-    ctx.write_channel(arg, stack.pop())
-
-
-def _h_out_bad(ctx, state, stack, arg):
-    # OUT with an out-of-range channel index still pops its operand
-    # before the index validation fires.
-    if not stack:
-        raise _underflow(state)
-    stack.pop()
-    raise VmError(f"channel index {arg} out of range")
-
-
-def _h_host_dynamic(ctx, state, stack, arg):
-    ctx.call_host(arg)
-
-
-def _h_word_dynamic(ctx, state, stack, arg):
-    ctx.call_word(arg)
-    return True
-
-
-def _h_channel_bad(ctx, state, stack, arg):
-    raise VmError(f"channel index {arg} out of range")
-
-
-def _h_host_bad(ctx, state, stack, arg):
-    raise VmError(f"host index {arg} out of range")
-
-
-def _h_word_bad(ctx, state, stack, arg):
-    raise VmError(f"word index {arg} out of range")
-
-
-_SIMPLE_HANDLERS = {
+_HANDLERS = {
     Opcode.HALT: _h_halt,
     Opcode.NOP: _h_nop,
+    Opcode.PUSH: _h_push,
     Opcode.DUP: _h_dup,
     Opcode.DROP: _h_drop,
     Opcode.SWAP: _h_swap,
@@ -477,66 +417,70 @@ _SIMPLE_HANDLERS = {
     Opcode.AND: _h_and,
     Opcode.OR: _h_or,
     Opcode.NOT: _h_not,
+    Opcode.JMP: _h_jmp,
+    Opcode.JZ: _h_jz,
+    Opcode.CALL: _h_call,
     Opcode.RET: _h_ret,
     Opcode.LOAD: _h_load,
     Opcode.STORE: _h_store,
+    Opcode.IN: _h_in,
+    Opcode.OUT: _h_out,
+    Opcode.HOST: _h_host,
+    Opcode.WORD: _h_word,
 }
 
+_JUMPS = frozenset({Opcode.JMP, Opcode.JZ, Opcode.CALL})
+
+# Opcode -> (the program table its index points into, what it names).
 _NAMED_TABLES = {
-    Opcode.IN: ("channels", _h_in_named, _h_in_dynamic, _h_channel_bad),
-    Opcode.OUT: ("channels", _h_out_named, _h_out_dynamic, _h_out_bad),
-    Opcode.HOST: ("host_names", _h_host_named, _h_host_dynamic, _h_host_bad),
-    Opcode.WORD: ("word_names", _h_word_named, _h_word_dynamic, _h_word_bad),
+    Opcode.IN: ("channels", "channel"),
+    Opcode.OUT: ("channels", "channel"),
+    Opcode.HOST: ("host_names", "host"),
+    Opcode.WORD: ("word_names", "word"),
 }
 
 
 def _compile_program(program: Program) -> list[tuple]:
-    """Translate ``program`` into its direct-threaded ``(handler, arg)``
-    form.  Pure function of the (immutable) program, so the result is
-    cached per program object (see :func:`_threaded`)."""
+    """Check ``program`` and translate it into its direct-threaded
+    ``(handler, arg)`` form.
+
+    Raises :class:`VmError` for a jump target outside ``0..len(program)``
+    or a table index outside the program's own table.  Pure function of
+    the (immutable) program, so the result is cached per program object
+    (see :func:`compile_program`).
+    """
     n = len(program.instructions)
     code: list[tuple] = []
     for ins in program.instructions:
-        op = ins.opcode
-        simple = _SIMPLE_HANDLERS.get(op)
-        if simple is not None:
-            code.append((simple, ins.arg))
-        elif op is Opcode.PUSH:
-            code.append((_h_push, float(ins.arg)))
-        elif op is Opcode.JMP:
-            code.append((_h_jmp, ins.arg) if 0 <= ins.arg <= n
-                        else (_h_jmp_bad, ins.arg))
-        elif op is Opcode.JZ:
-            code.append((_h_jz, ins.arg) if 0 <= ins.arg <= n
-                        else (_h_jz_bad, ins.arg))
-        elif op is Opcode.CALL:
-            code.append((_h_call, ins.arg) if 0 <= ins.arg <= n
-                        else (_h_call_bad, ins.arg))
-        else:
-            table_attr, named, dynamic, bad = _NAMED_TABLES[op]
+        op, arg = ins.opcode, ins.arg
+        if op is Opcode.PUSH:
+            arg = float(arg)
+        elif op in _JUMPS:
+            if not 0 <= arg <= n:
+                raise VmError(f"jump target {arg} out of range in "
+                              f"{program.name!r}")
+        elif op in _NAMED_TABLES:
+            table_attr, kind = _NAMED_TABLES[op]
             table = getattr(program, table_attr)
-            if not table:
-                # Empty table: the naive dispatcher falls back to the
-                # *root* program's tables, which are only known per run.
-                code.append((dynamic, ins.arg))
-            elif 0 <= ins.arg < len(table):
-                code.append((named, table[ins.arg]))
-            else:
-                code.append((bad, ins.arg))
+            if not 0 <= arg < len(table):
+                raise VmError(f"{kind} index {arg} out of range")
+            arg = table[arg]
+        code.append((_HANDLERS[op], arg))
     return code
 
 
 _THREADED_ATTR = "_threaded_code"
 
 
-def _threaded(program: Program) -> list[tuple]:
-    """Threaded code for ``program``, compiled on first use and kept on
-    the program object outside its dataclass fields.
+def compile_program(program: Program) -> list[tuple]:
+    """Threaded code for ``program``, checked and compiled on first use and
+    kept on the program object outside its dataclass fields.
 
-    It is shared by every interpreter in the process and dies with the
-    program.  The cache is per object, never per value: programs holding
-    ``PUSH 0.0`` and ``PUSH -0.0`` compare equal but compute different
-    outputs, so each compiles its own.
+    Raises :class:`VmError`, and caches nothing, if a jump target or table
+    index is out of range.  The code is shared by every interpreter in the
+    process and dies with the program.  The cache is per object, never per
+    value: programs holding ``PUSH 0.0`` and ``PUSH -0.0`` compare equal
+    but compute different outputs, so each compiles its own.
     """
     attrs = vars(program)
     code = attrs.get(_THREADED_ATTR)
@@ -564,7 +508,9 @@ class Interpreter:
     # Runtime extensibility
     # ------------------------------------------------------------------
     def register_word(self, program: Program) -> None:
-        """Install a user-defined word (new instruction) at runtime."""
+        """Install a user-defined word (new instruction) at runtime;
+        raises :class:`VmError`, installing nothing, if it does not compile."""
+        compile_program(program)
         self._words[program.name] = program
 
     def has_word(self, name: str) -> bool:
@@ -672,35 +618,28 @@ class ExecutionContext:
     def __init__(self, interpreter: Interpreter, program: Program,
                  memory: list[float]) -> None:
         self.interpreter = interpreter
-        self.root_program = program
+        self._program = program
         self.memory = memory
         self.state: VmState = VmState(routine=program.name)
-        self._programs: dict[str, Program] = {program.name: program}
         self._codes: dict[str, list[tuple]] = {}
         self._max_stack = interpreter.max_stack
 
-    def current_program(self) -> Program:
-        name = self.state.routine
-        if name in self._programs:
-            return self._programs[name]
-        word = self.interpreter._words.get(name)
-        if word is None:
-            raise VmError(f"unknown routine {name!r}")
-        self._programs[name] = word
-        return word
-
     def _load_code(self) -> list[tuple]:
-        """Threaded code for the current routine, cached per run so a
-        word re-registered mid-run keeps the version it started with
-        (the same pin ``current_program`` provides)."""
+        """Threaded code for the current routine (the run's program or a
+        registered word), cached per run so a word re-registered mid-run
+        keeps the version it started with."""
         name = self.state.routine
         code = self._codes.get(name)
         if code is None:
-            code = self._codes[name] = _threaded(self.current_program())
+            program = (self._program if name == self._program.name
+                       else self.interpreter._words.get(name))
+            if program is None:
+                raise VmError(f"unknown routine {name!r}")
+            code = self._codes[name] = compile_program(program)
         return code
 
     # ------------------------------------------------------------------
-    # Stack
+    # Stack (the host-hook API)
     # ------------------------------------------------------------------
     def push(self, value: float) -> None:
         if len(self.state.stack) >= self.interpreter.max_stack:
@@ -713,47 +652,3 @@ class ExecutionContext:
         if not self.state.stack:
             raise VmError(f"stack underflow in {self.state.routine!r}")
         return self.state.stack.pop()
-
-    # ------------------------------------------------------------------
-    # Channels / hosts / words
-    # ------------------------------------------------------------------
-    def _channel_name(self, index: int) -> str:
-        channels = self.current_program().channels or self.root_program.channels
-        if not 0 <= index < len(channels):
-            raise VmError(f"channel index {index} out of range")
-        return channels[index]
-
-    def read_channel(self, index: int) -> float:
-        name = self._channel_name(index)
-        fn = self.interpreter._channels_in.get(name)
-        if fn is None:
-            raise VmError(f"no input bound for channel {name!r}")
-        return float(fn())
-
-    def write_channel(self, index: int, value: float) -> None:
-        name = self._channel_name(index)
-        fn = self.interpreter._channels_out.get(name)
-        if fn is None:
-            raise VmError(f"no output bound for channel {name!r}")
-        fn(value)
-
-    def call_host(self, index: int) -> None:
-        hosts = self.current_program().host_names or self.root_program.host_names
-        if not 0 <= index < len(hosts):
-            raise VmError(f"host index {index} out of range")
-        name = hosts[index]
-        fn = self.interpreter._hosts.get(name)
-        if fn is None:
-            raise VmError(f"no host hook registered for {name!r}")
-        fn(self)
-
-    def call_word(self, index: int) -> None:
-        words = self.current_program().word_names or self.root_program.word_names
-        if not 0 <= index < len(words):
-            raise VmError(f"word index {index} out of range")
-        name = words[index]
-        if name not in self.interpreter._words:
-            raise VmError(f"word {name!r} not installed")
-        self.state.rstack.append((self.state.routine, self.state.pc))
-        self.state.routine = name
-        self.state.pc = 0

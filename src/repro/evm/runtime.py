@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.evm.bytecode import Program
-from repro.evm.capsule import Capsule, CapsuleStore
+from repro.evm.capsule import Capsule, CapsuleInstallError, CapsuleStore
 from repro.evm.failover import (
     Arbitrator,
     ArbitrationError,
@@ -46,6 +46,7 @@ from repro.evm.object_transfer import (
 )
 from repro.evm.tasks import LogicalTask
 from repro.evm.virtual_component import VcMember, VirtualComponent
+from repro.hardware.mcu import MemoryExhausted
 from repro.net.packet import BROADCAST, Packet
 from repro.obs import instrument
 from repro.rtos.kernel import AdmissionRefused, NanoRK
@@ -86,6 +87,7 @@ class RuntimeStats:
     failovers_executed: int = 0
     vm_faults: int = 0
     capsules_installed: int = 0
+    capsules_rejected: int = 0
     messages_handled: int = 0
 
 
@@ -702,7 +704,8 @@ class EvmRuntime:
     def _adopt_capsule(self, capsule: Capsule) -> None:
         try:
             was_new = self.capsules.install(capsule)
-        except Exception as exc:  # noqa: BLE001 - corrupt capsule contained
+        except (CapsuleInstallError, MemoryExhausted) as exc:
+            self.stats.capsules_rejected += 1
             self._record("evm.capsule_rejected", name=capsule.name,
                          error=str(exc))
             return

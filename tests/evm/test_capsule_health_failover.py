@@ -2,8 +2,13 @@
 
 import pytest
 
-from repro.evm.capsule import Capsule, CapsuleInstallError, CapsuleStore
-from repro.evm.bytecode import Assembler
+from repro.evm.capsule import (
+    Capsule,
+    CapsuleInstallError,
+    CapsuleStore,
+    _capsule_digest,
+)
+from repro.evm.bytecode import Assembler, Instruction, Opcode, Program
 from repro.evm.failover import (
     ArbitrationError,
     Arbitrator,
@@ -60,6 +65,28 @@ class TestCapsules:
             store.install(capsule.corrupted_copy(3))
         assert store.rejected_corrupt == 1
         assert not store.has("law")
+
+    @pytest.mark.parametrize("blob", [
+        make_program().encode()[:-1] + bytes([99]),
+        make_program().encode()[:-3],
+        Program("law", (Instruction(Opcode.JMP, 5),)).encode(),
+    ], ids=["unknown-opcode", "truncated", "jump-out-of-range"])
+    def test_invalid_program_rejected(self, blob):
+        """A capsule that passes its digest but does not decode, or whose
+        program does not compile, changes nothing."""
+        mcu = Mcu()
+        store = CapsuleStore(rom_bank=mcu.rom)
+        store.install(Capsule.from_program(make_program(), version=1))
+        rom_used = mcu.rom.used
+        capsule = Capsule(name="law", version=2, blob=blob,
+                          digest=_capsule_digest(blob))
+        assert capsule.verify()
+        with pytest.raises(CapsuleInstallError, match="not a valid program"):
+            store.install(capsule)
+        assert store.rejected_invalid == 1
+        assert store.rejected_corrupt == 0
+        assert store.version_of("law") == 1
+        assert mcu.rom.used == rom_used
 
     def test_rom_accounting(self):
         mcu = Mcu()

@@ -106,9 +106,14 @@ class TestControlFlow:
             run("top: jmp top", max_steps=1000)
 
     def test_bad_jump_target(self):
-        program = Program("bad", (Instruction(Opcode.JMP, 99),))
-        with pytest.raises(VmError, match="out of range"):
-            Interpreter().execute(program, [0.0])
+        # Refused when it compiles, before its first instruction runs.
+        program = Program("bad", (Instruction(Opcode.PUSH, 1.0),
+                                  Instruction(Opcode.JMP, 99)))
+        state = VmState(routine="bad")
+        with pytest.raises(VmError,
+                           match="jump target 99 out of range in 'bad'"):
+            Interpreter().execute(program, [0.0], state=state)
+        assert (state.steps, state.stack) == (0, [])
 
     def test_fall_off_end_halts(self):
         program = Program("fall", (Instruction(Opcode.PUSH, 1.0),))

@@ -14,10 +14,14 @@ seed semantics.  This suite pins that down three ways:
 
        PYTHONPATH=src:tests python tests/integration/test_hotpath_determinism.py --capture
 
-2. **Reference-interpreter property** -- random programs are executed by
-   both the production interpreter and a straight-line reference
-   implementation of the seed dispatch semantics kept in this file;
-   final state, memory and error strings must match exactly.
+2. **Reference-interpreter property** -- random programs that compile
+   are executed by both the production interpreter and a straight-line
+   reference implementation of the seed dispatch semantics kept in this
+   file; final state, memory and error strings must match exactly.  A
+   program that does not compile (a jump target or table index out of
+   range) never runs: a separate property checks that it is refused
+   before its first instruction, by ``execute``, ``register_word`` and
+   ``CapsuleStore.install`` alike.
 
 3. **Replay identity** -- the golden workloads also run twice in-process
    and must agree with themselves, so the guard stays meaningful even on
@@ -30,6 +34,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import re
 from pathlib import Path
 from typing import Callable
 
@@ -37,6 +42,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.evm.bytecode import Assembler, Instruction, Opcode, Program
+from repro.evm.capsule import Capsule, CapsuleInstallError, CapsuleStore
 from repro.evm.interpreter import Interpreter, VmError, VmState
 
 GOLDEN_PATH = Path(__file__).parent / "golden_hotpath.json"
@@ -487,6 +493,8 @@ _GEN_ARGLESS = [
     Opcode.RET, Opcode.HALT,
 ]
 
+_JUMPS = (Opcode.JMP, Opcode.JZ, Opcode.CALL)
+
 _raw_ops = st.one_of(
     st.sampled_from(_GEN_ARGLESS).map(lambda op: (op, None)),
     st.tuples(st.just(Opcode.PUSH),
@@ -498,10 +506,11 @@ _raw_ops = st.one_of(
     # Memory is 10 slots; 10-12 exercise the out-of-range LOAD/STORE paths.
     st.tuples(st.sampled_from([Opcode.LOAD, Opcode.STORE]),
               st.integers(min_value=0, max_value=12)),
-    # Jump targets are patched modulo len+2 below, so a few land out of
-    # range and exercise the runtime "jump target out of range" path.
-    st.tuples(st.sampled_from([Opcode.JMP, Opcode.JZ, Opcode.CALL]),
-              st.integers(min_value=0, max_value=40)),
+    # Jump targets are patched modulo len+1 below, so every one lands in
+    # 0..len (len falls off the end): a program with a target out of range
+    # does not compile, so it never runs and has no transcript to compare
+    # (test_malformed_program_is_refused_before_it_runs covers it).
+    st.tuples(st.sampled_from(_JUMPS), st.integers(min_value=0, max_value=40)),
 )
 
 
@@ -511,8 +520,8 @@ def _build_program(ops: list[tuple[Opcode, float | int | None]],
     instructions = []
     n = len(ops)
     for op, arg in ops:
-        if op in (Opcode.JMP, Opcode.JZ, Opcode.CALL):
-            arg = int(arg) % (n + 2)
+        if op in _JUMPS:
+            arg = int(arg) % (n + 1)
         instructions.append(Instruction(op, arg))
     return Program(name, instructions=tuple(instructions), channels=channels)
 
@@ -532,6 +541,19 @@ def _transcript(vm, program: Program, memory: list[float],
     return json.dumps(payload, sort_keys=True)
 
 
+# The reference VM's errors for what the interpreter refuses at compile.
+_COMPILE_TIME_ERRORS = re.compile(
+    r"jump target \d+ out of range|(channel|host|word) index \d+ out of range")
+
+
+def _accepted(transcript: str) -> str:
+    """A reference transcript of a program that compiles: it never holds
+    an error that compilation would have raised first."""
+    error = json.loads(transcript).get("error", "")
+    assert not _COMPILE_TIME_ERRORS.search(error), error
+    return transcript
+
+
 @settings(max_examples=200, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(ops=st.lists(_raw_ops, min_size=1, max_size=24),
@@ -540,8 +562,8 @@ def _transcript(vm, program: Program, memory: list[float],
 def test_interpreter_matches_reference_semantics(ops, seed_mem):
     """Production interpreter == seed-semantics reference, byte for byte."""
     program = _build_program(ops)
-    expected = _transcript(_ReferenceVm(max_steps=400), program,
-                           list(seed_mem))
+    expected = _accepted(_transcript(_ReferenceVm(max_steps=400), program,
+                                     list(seed_mem)))
     # Twice through the production interpreter: the second run hits the
     # threaded-code cache, which must not change anything.
     interp = Interpreter(max_steps=400)
@@ -600,11 +622,23 @@ def test_idioms_match_reference_transcript(chunks, seed_mem, budget):
     string -- at *every* step budget."""
     ops = [op for chunk in chunks for op in chunk]
     program = _build_program(ops)
-    expected = _transcript(_ReferenceVm(max_steps=budget), program,
-                           list(seed_mem))
+    expected = _accepted(_transcript(_ReferenceVm(max_steps=budget), program,
+                                     list(seed_mem)))
     actual = _transcript(Interpreter(max_steps=budget), program,
                          list(seed_mem))
     assert actual == expected
+
+
+def _with_outputs(ops):
+    """``ops`` with an ``OUT 0`` spliced in after every third op, so
+    effects interleave with the idioms; channel 0 resolves through the
+    program's channel table."""
+    spliced = []
+    for i, op in enumerate(ops):
+        spliced.append(op)
+        if i % 3 == 2:
+            spliced.append((Opcode.OUT, 0))
+    return spliced
 
 
 @settings(max_examples=100, deadline=None,
@@ -616,14 +650,8 @@ def test_output_transcript_matches_reference(chunks, seed_mem):
     """The OUT-channel effect transcript (every value written, in order)
     matches the reference's, along with the final state or error."""
     ops = [op for chunk in chunks for op in chunk]
-    # Splice OUT instructions between chunks so effects interleave with
-    # the idioms; channel 0 resolves through the program's channel table.
-    spliced = []
-    for i, op in enumerate(ops):
-        spliced.append(op)
-        if i % 3 == 2:
-            spliced.append((Opcode.OUT, 0))
-    program = _build_program(spliced, name="fuzz-out", channels=("tap",))
+    program = _build_program(_with_outputs(ops), name="fuzz-out",
+                             channels=("tap",))
 
     def run(vm):
         outputs: list[float] = []
@@ -631,7 +659,78 @@ def test_output_transcript_matches_reference(chunks, seed_mem):
         return _transcript(vm, program, list(seed_mem), outputs)
 
     assert (run(Interpreter(max_steps=400))
-            == run(_ReferenceVm(max_steps=400)))
+            == _accepted(run(_ReferenceVm(max_steps=400))))
+
+
+# ----------------------------------------------------------------------
+# Load-time contract: a malformed program is refused before it runs
+# ----------------------------------------------------------------------
+_INDEXED_TABLES = {Opcode.IN: ("channels", "channel"),
+                   Opcode.OUT: ("channels", "channel"),
+                   Opcode.HOST: ("host_names", "host"),
+                   Opcode.WORD: ("word_names", "word")}
+
+# One malformed instruction: an opcode and how far past the last valid
+# target or table index its operand lies.
+_malformed = st.tuples(st.sampled_from(_JUMPS + tuple(_INDEXED_TABLES)),
+                       st.integers(min_value=0, max_value=3))
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(chunks=st.lists(_idiom_chunks, min_size=1, max_size=8),
+       bad=_malformed, where=st.integers(min_value=0, max_value=64),
+       with_channel=st.booleans(),
+       seed_mem=st.lists(st.integers(min_value=-2, max_value=2).map(float),
+                         min_size=10, max_size=10))
+def test_malformed_program_is_refused_before_it_runs(chunks, bad, where,
+                                                      with_channel,
+                                                      seed_mem):
+    """One jump target or table index pushed out of range (empty tables
+    included) in an otherwise valid program: the interpreter refuses it
+    before its first step, a word of it is never registered, and a capsule
+    of it never replaces the installed version."""
+    ops = [op for chunk in chunks for op in chunk]
+    if with_channel:
+        valid = _build_program(_with_outputs(ops), name="fuzz-bad",
+                               channels=("tap",))
+    else:
+        valid = _build_program(ops, name="fuzz-bad")
+    op, beyond = bad
+    n = len(valid.instructions) + 1
+    if op in _JUMPS:
+        arg = n + 1 + beyond
+        message = f"jump target {arg} out of range in 'fuzz-bad'"
+    else:
+        table_attr, kind = _INDEXED_TABLES[op]
+        arg = len(getattr(valid, table_attr)) + beyond
+        message = f"{kind} index {arg} out of range"
+    instructions = list(valid.instructions)
+    instructions.insert(where % n, Instruction(op, arg))
+    program = dataclasses.replace(valid, instructions=tuple(instructions))
+
+    interp = Interpreter(max_steps=400)
+    outputs: list[float] = []
+    interp.bind_output("tap", outputs.append)
+    memory = list(seed_mem)
+    state = VmState(routine=program.name)
+    with pytest.raises(VmError) as refused:
+        interp.execute(program, memory, state=state)
+    assert str(refused.value) == message
+    assert (state.steps, state.stack, state.pc) == (0, [], 0)
+    assert memory == seed_mem
+    assert outputs == []
+
+    with pytest.raises(VmError, match="out of range"):
+        interp.register_word(program)
+    assert not interp.has_word(program.name)
+
+    store = CapsuleStore()
+    assert store.install(Capsule.from_program(valid, version=1))
+    with pytest.raises(CapsuleInstallError, match="out of range"):
+        store.install(Capsule.from_program(program, version=2))
+    assert store.version_of(program.name) == 1
+    assert store.rejected_invalid == 1
 
 
 class TestSeedEdgeSemantics:

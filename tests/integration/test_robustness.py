@@ -8,15 +8,22 @@ expressed through the ``repro.scenarios`` DSL -- a declarative
 :class:`FaultInjector` -- the same machinery the campaign runner sweeps.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.control.compiler import SLOT_OUTPUT, SLOT_SETPOINT
+from repro.evm.bytecode import Instruction, Opcode
+from repro.evm.capsule import Capsule
 from repro.evm.failover import ControllerMode
 from repro.experiments.hil import (
     ACTUATOR,
     CTRL_A,
     CTRL_B,
+    CTRL_C,
     GATEWAY,
+    NODE_IDS,
+    HilConfig,
     HilRig,
     SENSOR,
     TASK_ACT,
@@ -117,6 +124,34 @@ class TestRuntimeReprogramming:
         # Still regulating on the upgraded law.
         rig.run_for_seconds(20.0)
         assert rig.read("lts_level_pct") == pytest.approx(50.0, abs=1.5)
+
+
+    def test_faulting_upgrade_is_refused_on_every_replica(self):
+        """A v2 law whose final HALT became an out-of-range JMP arrives
+        over the air as a peer would send it.  Every node refuses it at
+        install, so primary and backup keep running v1 and no replica
+        ever faults on it."""
+        rig = HilRig(HilConfig(settle_sec=800.0))
+        rig.run_for_seconds(10.0)
+        law = rig.ctrl_program
+        assert law.instructions[-1].opcode is Opcode.HALT
+        bad = dataclasses.replace(law, instructions=law.instructions[:-1] + (
+            Instruction(Opcode.JMP, len(law) + 1),))
+        rig.runtimes[GATEWAY]._disseminate_capsule(
+            Capsule.from_program(bad, version=2))
+        rig.run_for_seconds(20.0)
+        for node_id in NODE_IDS:
+            assert rig.runtimes[node_id].capsules.version_of(
+                law.name) == 1, node_id
+        for node_id in (CTRL_A, CTRL_B, CTRL_C):
+            runtime = rig.runtimes[node_id]
+            assert runtime.stats.vm_faults == 0, node_id
+            assert runtime.stats.capsules_rejected == 1, node_id
+            assert rig.trace.count("evm.capsule_rejected",
+                                   source=node_id) == 1, node_id
+        assert rig.active_controller() == CTRL_A
+        assert sum(rt.stats.failovers_executed
+                   for rt in rig.runtimes.values()) == 0
 
 
 class TestCombinedFaults:
