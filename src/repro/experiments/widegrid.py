@@ -30,6 +30,7 @@ list of trial specs across the scenario subsystem's
 from __future__ import annotations
 
 import dataclasses
+import gc
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
@@ -243,9 +244,10 @@ class WideGridRig:
         self.nodes: dict[str, FireFlyNode] = {}
         self.macs: dict[str, RoutedMacAdapter] = {}
         for node_id in node_ids:
+            # No ``node:<id>`` stream: these nodes have no sensors, and
+            # RT-Link never draws from ``node.rng``.
             node = FireFlyNode(self.engine, node_id,
                                position=self.topology.position(node_id),
-                               rng=self.rng.stream(f"node:{node_id}"),
                                with_sensors=False)
             node.join_timesync(self.sync)
             mac = RtLinkMac(self.engine, node, self.medium.attach(node),
@@ -455,7 +457,13 @@ def run_widegrid_trial(config: WideGridConfig | None = None,
     config = config or WideGridConfig()
     rig = WideGridRig(config)
     rig.run_for_seconds(config.duration_sec)
-    return rig.collect()
+    result = rig.collect()
+    # The rig is one reference cycle (queued callbacks hold the engine),
+    # so reference counting never frees it: collect it now, not while
+    # the caller builds the next one.
+    del rig
+    gc.collect()
+    return result
 
 
 # ----------------------------------------------------------------------
@@ -560,7 +568,16 @@ def run_widegrid_mac_lifetime(protocol: str,
                               ) -> WideGridMacResult:
     """Reporters over tree routing on one MAC; lifetime projected from
     measured average current (the paper's C2 claim, on a wide mesh)."""
-    cfg = config or WideGridConfig()
+    result = _mac_lifetime_trial(protocol, config or WideGridConfig())
+    # The finished trial is one reference cycle (queued callbacks hold
+    # the engine), so reference counting never frees it: collect it now
+    # that its frame is gone, not while the caller builds the next one.
+    gc.collect()
+    return result
+
+
+def _mac_lifetime_trial(protocol: str,
+                        cfg: WideGridConfig) -> WideGridMacResult:
     engine = Engine()
     rng = RngRegistry(cfg.seed)
     topology, _ = random_geometric_connected(

@@ -31,7 +31,13 @@ class NodePosition:
 
 
 class FireFlyNode:
-    """One FireFly mote: hardware only; protocol stacks attach on top."""
+    """One FireFly mote: hardware only; protocol stacks attach on top.
+
+    :attr:`rng` is the node's own random stream (sensor noise, B-MAC and
+    S-MAC backoff).  A node built without ``rng=`` draws from
+    ``random.Random(0)``, made on first read, so a node that never draws
+    (no sensors, an RT-Link MAC) holds no generator at all.
+    """
 
     def __init__(
         self,
@@ -48,7 +54,7 @@ class FireFlyNode:
         self.engine = engine
         self.node_id = node_id
         self.position = position or NodePosition(0.0, 0.0)
-        self.rng = rng or random.Random(0)
+        self._rng = rng
         self.mcu = Mcu(mcu_spec)
         self.battery = Battery(engine, battery_spec)
         self.radio = Radio(engine, self.battery, radio_spec)
@@ -57,6 +63,12 @@ class FireFlyNode:
             standard_sensor_suite(engine, self.battery, self.rng)
             if with_sensors else {})
         self.failed = False
+
+    @property
+    def rng(self) -> random.Random:
+        if self._rng is None:
+            self._rng = random.Random(0)
+        return self._rng
 
     def join_timesync(self, sync: AmTimeSync) -> None:
         """Register this node's clock with the AM synchronization service."""

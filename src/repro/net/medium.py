@@ -17,8 +17,9 @@ carrier sense raise instead of serving stale caches.
 
 The hot paths are indexed rather than scanned:
 
-- per-receiver **audible-sender sets** (and per-sender neighbor tuples) are
-  computed once from the topology;
+- per-receiver **audible senders** are a view of the topology's own
+  adjacency (no copy), and per-sender neighbor tuples are computed once
+  from the topology;
 - ``_active`` is a start-time-ordered deque pruned incrementally from the
   front (engine time is monotone, so appends arrive in order);
 - a per-node ``busy_until`` horizon makes :meth:`MediumPort.channel_busy`
@@ -35,7 +36,7 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, KeysView
 
 from repro.hardware.node import FireFlyNode
 from repro.hardware.radio import RadioState
@@ -129,14 +130,14 @@ class Medium:
         # Topology-derived indexes, valid for this topology version only.
         self._topo_version = topology.version
         self._neighbor_tuples: dict[str, tuple[str, ...]] = {}
-        self._audible_sets: dict[str, frozenset[str]] = {}
+        self._audible_views: dict[str, KeysView[str]] = {}
         self._busy_until: dict[str, int] = {}
         # Per-sender receiver rows: (port, node, receiver_id, distance,
-        # audible-set) for every *attached* neighbor, in topology insertion
+        # audible view) for every *attached* neighbor, in topology insertion
         # order.  Invalidated by attach().
         self._receiver_rows: dict[
             str, tuple[tuple[MediumPort, FireFlyNode, str, float,
-                             frozenset[str]], ...]] = {}
+                             KeysView[str]], ...]] = {}
 
     def attach(self, node: FireFlyNode) -> MediumPort:
         if node.node_id in self._ports:
@@ -183,12 +184,13 @@ class Medium:
             self._neighbor_tuples[sender] = cached
         return cached
 
-    def _audible_at(self, receiver: str) -> frozenset[str]:
-        """Senders whose frames reach ``receiver`` (symmetric graph)."""
-        cached = self._audible_sets.get(receiver)
+    def _audible_at(self, receiver: str) -> KeysView[str]:
+        """Senders whose frames reach ``receiver`` (symmetric graph): a
+        view of the topology's own adjacency, for membership tests."""
+        cached = self._audible_views.get(receiver)
         if cached is None:
-            cached = frozenset(self.topology.neighbors(receiver))
-            self._audible_sets[receiver] = cached
+            cached = self.topology.neighbor_view(receiver)
+            self._audible_views[receiver] = cached
         return cached
 
     def _raise_busy_horizons(self, sender: str, end: int) -> None:
@@ -248,7 +250,7 @@ class Medium:
                   after_state: RadioState) -> None:
         """Resolve one finished frame at every audible receiver.
 
-        Per-receiver dict lookups (port, distance, audible set) come from
+        Per-receiver dict lookups (port, distance, audible view) come from
         the prebuilt receiver rows, the temporal overlap window over
         ``_active`` is computed once for the whole completion instead of
         once per receiver, and stats counters accumulate in locals that

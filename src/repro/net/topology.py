@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Iterable
+from typing import Iterable, KeysView
 
 from repro.hardware.node import NodePosition
 
@@ -105,6 +105,11 @@ class Topology:
 
     def neighbors(self, node_id: str) -> list[str]:
         return list(self._adj.get(node_id, ()))
+
+    def neighbor_view(self, node_id: str) -> KeysView[str]:
+        """Read-only live view of ``node_id``'s neighbours, in neighbour
+        order, without a copy (:meth:`neighbors` returns a new list)."""
+        return self._adj[node_id].keys()
 
     def has_link(self, a: str, b: str) -> bool:
         return b in self._adj.get(a, ())

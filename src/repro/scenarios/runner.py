@@ -27,11 +27,16 @@ Throughput mechanics for large (100+-scenario) grids:
   when the grid finishes -- a failed or interrupted campaign leaves the
   previously persisted one intact.  Record order stays deterministic
   (``map`` preserves submission order), so summaries and goldens are
-  unchanged.
+  unchanged;
+- each run **frees its rig** before it returns: a rig is one reference
+  cycle, so :func:`run_scenario` collects it at once instead of leaving
+  it to the next automatic collection, which would land while the next
+  rig is being built.  A worker holds one rig at a time.
 """
 
 from __future__ import annotations
 
+import gc
 import os
 import re
 import time
@@ -67,7 +72,14 @@ def run_scenario(scenario: Scenario) -> RunMetrics:
 
     rig.engine.post(int(scenario.sample_period_sec * SEC), sample)
     rig.run_for_seconds(scenario.duration_sec)
-    return collect(rig, scenario, times_sec, levels_pct, setpoints_pct)
+    metrics = collect(rig, scenario, times_sec, levels_pct, setpoints_pct)
+    # The rig is one reference cycle (queued callbacks hold the engine),
+    # so reference counting never frees it: collect it now, not while
+    # the next run builds its own.  ``del`` also empties the cell that
+    # ``sample`` closes over.
+    del rig
+    gc.collect()
+    return metrics
 
 
 def _run_record(indexed: tuple[str, Scenario]) -> dict[str, Any]:

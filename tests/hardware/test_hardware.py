@@ -209,6 +209,20 @@ class TestNode:
         with pytest.raises(KeyError):
             node.sensor("light")
 
+    def test_default_rng_is_made_on_first_read(self, engine):
+        node = FireFlyNode(engine, "x", with_sensors=False)
+        assert not [value for value in vars(node).values()
+                    if isinstance(value, random.Random)]
+        reference = random.Random(0)
+        assert [node.rng.random() for _ in range(3)] == \
+            [reference.random() for _ in range(3)]
+        assert node.rng is node.rng
+
+    def test_given_rng_is_kept(self, engine):
+        rng = random.Random(7)
+        node = FireFlyNode(engine, "x", rng=rng)
+        assert node.rng is rng
+
     def test_fail_turns_radio_off(self, engine):
         node = FireFlyNode(engine, "x")
         node.radio.set_state(RadioState.RX)

@@ -56,6 +56,17 @@ class TestTopology:
         parents = topo.bfs_tree_toward("a")
         assert parents == {"b": "a", "c": "b"}
 
+    def test_neighbor_view_is_live_and_read_only(self):
+        topo = line(["a", "b", "c"])
+        view = topo.neighbor_view("b")
+        assert list(view) == topo.neighbors("b") == ["a", "c"]
+        assert "a" in view and "b" not in view
+        assert not hasattr(view, "add")
+        topo.remove_link("a", "b")
+        assert list(view) == ["c"]
+        with pytest.raises(KeyError):
+            topo.neighbor_view("z")
+
     def test_duplicate_node_rejected(self):
         topo = Topology()
         topo.add_node("a")
