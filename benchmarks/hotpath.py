@@ -338,13 +338,12 @@ def _dist_scale_bench(n_clients: int = 1000) -> dict[str, float]:
         return _DIST_SCALE_CACHE
     from concurrent.futures import ThreadPoolExecutor
 
-    from repro.dist import coordinator as coordinator_mod
     from repro.dist.coordinator import Coordinator
-    from repro.dist.protocol import recv_message, send_message
+    from repro.dist.protocol import connect, recv_message, send_message
 
     def dial(address: str, i: int):
-        sock = coordinator_mod.connect(address, role="client",
-                                       name=f"ramp-{i}", timeout=60.0)
+        sock = connect(address, role="client", name=f"ramp-{i}",
+                       timeout=60.0)
         sock.settimeout(60.0)
         return sock
 

@@ -22,23 +22,35 @@ hosts, under the same staged-commit :class:`~repro.scenarios.store
   :class:`SubprocessWorkerFleet`, the autoscale driver the CLI uses;
 - :mod:`repro.dist.cli` -- the ``python -m repro.dist`` entry point
   (``coordinator`` / ``worker`` / ``status`` subcommands).
+
+The names in ``__all__`` resolve on first use (PEP 562), so importing
+the package imports none of its modules, and importing one module costs
+only that module's own imports.  A worker agent thus loads the wire
+protocol and nothing of the simulator, which ``repro.dist.runner`` (and
+through it ``repro.dist.cluster``) imports for the campaign records.
 """
 
-from repro.dist.autoscale import Autoscaler, AutoscalePolicy
-from repro.dist.cluster import LocalCluster, SubprocessWorkerFleet
-from repro.dist.coordinator import Coordinator
-from repro.dist.fairshare import FairScheduler
-from repro.dist.runner import DistributedCampaignRunner, DistributedJobError
-from repro.dist.worker import WorkerAgent
+import importlib
 
-__all__ = [
-    "Autoscaler",
-    "AutoscalePolicy",
-    "Coordinator",
-    "DistributedCampaignRunner",
-    "DistributedJobError",
-    "FairScheduler",
-    "LocalCluster",
-    "SubprocessWorkerFleet",
-    "WorkerAgent",
-]
+_HOMES = {
+    "Autoscaler": "repro.dist.autoscale",
+    "AutoscalePolicy": "repro.dist.autoscale",
+    "Coordinator": "repro.dist.coordinator",
+    "DistributedCampaignRunner": "repro.dist.runner",
+    "DistributedJobError": "repro.dist.runner",
+    "FairScheduler": "repro.dist.fairshare",
+    "LocalCluster": "repro.dist.cluster",
+    "SubprocessWorkerFleet": "repro.dist.cluster",
+    "WorkerAgent": "repro.dist.worker",
+}
+
+__all__ = list(_HOMES)
+
+
+def __getattr__(name: str):
+    home = _HOMES.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(home), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value

@@ -63,6 +63,10 @@ from typing import Any, Callable
 
 from repro.dist.fairshare import FairScheduler, validate_weight
 from repro.dist.protocol import (
+    _LEN,
+    DEFAULT_LEASE_TIMEOUT,
+    DEFAULT_MAX_ATTEMPTS,
+    DEFAULT_WORKER_TIMEOUT,
     MSG_DONE,
     MSG_ERROR,
     MSG_GOODBYE,
@@ -83,11 +87,13 @@ from repro.dist.protocol import (
     PROTOCOL_VERSION,
     ConnectionClosed,
     ProtocolError,
+    _check_prefix,
+    _inflate_body,
+    _parse_body,
     entries_frame,
     entry_size,
     frame_entries,
     pack_message,
-    recv_message_async,
     split_batch,
     unpack_blob_list,
 )
@@ -97,10 +103,6 @@ __all__ = ["AsyncCoordinator", "CoordinatorStats", "JobRecord", "Lease"]
 LEASE_WAIT_WINDOW = 512
 """Recent lease queue-waits kept for the p50/p95 percentiles the
 status snapshot (and through it the autoscale policy) reports."""
-
-DEFAULT_LEASE_TIMEOUT = 300.0
-DEFAULT_WORKER_TIMEOUT = 15.0
-DEFAULT_MAX_ATTEMPTS = 3
 
 SEND_QUEUE_FRAMES = 1024
 """Per-peer bound on queued outbound frames; a producer hitting it
@@ -114,6 +116,25 @@ would let a fast producer starve ``drain()``."""
 BROADCAST_TICK = 0.25
 """The status broadcaster's timer period (subscriber periods are
 honoured per-client on top of this resolution)."""
+
+
+async def recv_message_async(reader: asyncio.StreamReader,
+                             ) -> tuple[dict[str, Any], memoryview]:
+    """The :func:`~repro.dist.protocol.recv_message` twin for asyncio
+    streams (the per-peer reader tasks); same parsing, same error
+    taxonomy.  It lives here, its one caller's module, so that the
+    framing module does not import asyncio."""
+    try:
+        prefix = await reader.readexactly(_LEN.size)
+        body_len, compressed = _check_prefix(_LEN.unpack(prefix)[0])
+        body = memoryview(await reader.readexactly(body_len))
+    except asyncio.IncompleteReadError as exc:
+        raise ConnectionClosed(
+            f"peer closed with {len(exc.partial)} partial frame bytes"
+        ) from exc
+    if compressed:
+        body = _inflate_body(body)
+    return _parse_body(body)
 
 
 def _percentile(ordered: list[float], q: float) -> float:

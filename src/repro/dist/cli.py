@@ -24,12 +24,12 @@ import argparse
 import json
 import sys
 
-from repro.dist.aiobroker import (
+from repro.dist.protocol import (
     DEFAULT_LEASE_TIMEOUT,
     DEFAULT_MAX_ATTEMPTS,
+    DEFAULT_PORT,
     DEFAULT_WORKER_TIMEOUT,
 )
-from repro.dist.protocol import DEFAULT_PORT
 from repro.dist.worker import DEFAULT_HEARTBEAT_PERIOD
 
 
@@ -117,13 +117,11 @@ def format_status_line(status: dict) -> str:
 
 
 def _follow_status(args: argparse.Namespace) -> int:
-    from repro.dist import coordinator as coordinator_mod
-    from repro.dist.protocol import (ConnectionClosed, recv_message,
-                                     send_message)
+    from repro.dist.protocol import (ConnectionClosed, connect,
+                                     recv_message, send_message)
 
-    sock = coordinator_mod.connect(args.connect, role="client",
-                                   name="status-follow",
-                                   timeout=args.connect_timeout)
+    sock = connect(args.connect, role="client", name="status-follow",
+                   timeout=args.connect_timeout)
     updates = 0
     try:
         send_message(sock, {"type": "subscribe",

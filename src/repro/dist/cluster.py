@@ -57,12 +57,15 @@ def spawn_worker_process(address: str, processes: int = 1,
                          slots: int | None = None,
                          heartbeat_period: float = DEFAULT_HEARTBEAT_PERIOD,
                          name: str = "") -> subprocess.Popen:
-    """Fork one ``python -m repro.dist worker`` child dialled at
-    ``address`` (with ``src`` prepended to its ``PYTHONPATH``).  Each
-    worker leads its own process group (``start_new_session``), so
-    killing "the worker" takes its forked pool children with it -- a
-    bare SIGKILL on the agent alone would orphan them.  Shared by
-    :class:`LocalCluster` and :class:`SubprocessWorkerFleet`."""
+    """Start one ``python -m repro.dist worker`` process dialled at
+    ``address`` (with ``src`` prepended to its ``PYTHONPATH``).  It is a
+    fresh interpreter started with ``Popen``, not a fork of this
+    process, so it inherits none of this process's threads, sockets or
+    imports.  Each worker leads its own process group
+    (``start_new_session``), so killing "the worker" takes its forked
+    pool children with it -- a bare SIGKILL on the agent alone would
+    orphan them.  Shared by :class:`LocalCluster` and
+    :class:`SubprocessWorkerFleet`."""
     env = dict(os.environ)
     src = str(_src_root())
     env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"]
@@ -213,15 +216,34 @@ class LocalCluster:
                          timeout: float = 10.0) -> None:
         """Block until ``n`` (default: all spawned) workers are
         registered with the coordinator -- subprocess workers race
-        their own startup."""
+        their own startup.  Raises :class:`RuntimeError` at once when
+        fewer than ``n`` subprocess workers are still running (their
+        output goes to ``DEVNULL``, so one that died at start would
+        otherwise leave this waiting out ``timeout``)."""
         want = self.n_workers if n is None else n
         deadline = time.monotonic() + timeout
         while len(self.coordinator.status()["workers"]) < want:
+            self._check_running(want)
             if time.monotonic() >= deadline:
                 raise TimeoutError(
                     f"only {len(self.coordinator.status()['workers'])} of "
                     f"{want} workers registered after {timeout}s")
             time.sleep(0.02)
+
+    def _check_running(self, want: int) -> None:
+        if self.mode != "subprocess":
+            return
+        with self._workers_lock:
+            workers = list(self.workers)
+        exited = [(index, proc) for index, proc in enumerate(workers)
+                  if proc.poll() is not None]
+        running = len(workers) - len(exited)
+        if running < want:
+            raise RuntimeError(
+                f"only {running} subprocess worker(s) still running, "
+                f"{want} wanted: " + ", ".join(
+                    f"worker {index} (pid {proc.pid}) exited with code "
+                    f"{proc.returncode}" for index, proc in exited))
 
     def kill_worker(self, index: int = 0) -> None:
         """Abruptly kill one worker mid-whatever-it-was-doing: SIGKILL

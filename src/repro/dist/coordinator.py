@@ -13,9 +13,9 @@ protocol in :mod:`repro.dist.protocol`:
   frames.
 
 Every connection opens with a hello/welcome handshake at one
-:data:`~repro.dist.protocol.PROTOCOL_VERSION`; :func:`connect`
-performs it for every peer and raises :class:`ConnectionError` when
-the coordinator refuses.
+:data:`~repro.dist.protocol.PROTOCOL_VERSION`;
+:func:`repro.dist.protocol.connect` performs it for every peer and
+raises :class:`ConnectionError` when the coordinator refuses.
 
 Every in-flight job is a **lease**: granted to exactly one worker with
 a hard execution deadline.  A worker that disconnects, misses enough
@@ -49,28 +49,17 @@ from __future__ import annotations
 import asyncio
 import socket
 import threading
-import time
 from typing import Any
 
-from repro.dist.aiobroker import (
+from repro.dist.aiobroker import AsyncCoordinator, CoordinatorStats
+from repro.dist.protocol import (
     DEFAULT_LEASE_TIMEOUT,
     DEFAULT_MAX_ATTEMPTS,
-    DEFAULT_WORKER_TIMEOUT,
-    AsyncCoordinator,
-    CoordinatorStats,
-)
-from repro.dist.protocol import (
     DEFAULT_PORT,
-    MSG_ERROR,
-    MSG_HELLO,
-    MSG_WELCOME,
-    PROTOCOL_VERSION,
-    parse_address,
-    recv_message,
-    send_message,
+    DEFAULT_WORKER_TIMEOUT,
 )
 
-__all__ = ["Coordinator", "CoordinatorStats", "DEFAULT_PORT", "connect"]
+__all__ = ["Coordinator", "CoordinatorStats", "DEFAULT_PORT"]
 
 
 class Coordinator:
@@ -246,54 +235,3 @@ class Coordinator:
     def core(self) -> AsyncCoordinator:
         return self._core
 
-
-def connect(address: str, role: str, name: str = "",
-            timeout: float = 10.0, retry_period: float = 0.1,
-            slots: int | None = None) -> socket.socket:
-    """Dial a coordinator and complete the hello/welcome handshake,
-    retrying the dial until ``timeout`` so freshly-forked peers can race
-    the listener up.  Shared by the worker agent, the client runner, the
-    CLI and the obs bridge.
-
-    Raises :class:`ConnectionError` when the coordinator answers with
-    an ``error`` frame (a protocol version it does not speak) or
-    welcomes at a version other than :data:`PROTOCOL_VERSION`.
-    """
-    host, port = parse_address(address)
-    deadline = time.monotonic() + timeout
-    last_error: Exception | None = None
-    while True:
-        try:
-            sock = socket.create_connection((host, port), timeout=timeout)
-            break
-        except OSError as exc:
-            last_error = exc
-            if time.monotonic() >= deadline:
-                raise ConnectionError(
-                    f"could not reach coordinator at {address}: "
-                    f"{last_error}") from last_error
-            time.sleep(retry_period)
-    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-    hello: dict[str, Any] = {"type": MSG_HELLO, "role": role, "name": name,
-                             "version": PROTOCOL_VERSION}
-    if slots is not None:
-        hello["slots"] = slots
-    try:
-        send_message(sock, hello)
-        reply, _payload = recv_message(sock)
-    except BaseException:
-        sock.close()
-        raise
-    if reply.get("type") == MSG_ERROR:
-        sock.close()
-        raise ConnectionError(f"coordinator at {address} refused the "
-                              f"handshake: {reply.get('error')}")
-    if (reply.get("type") != MSG_WELCOME
-            or reply.get("version") != PROTOCOL_VERSION):
-        sock.close()
-        raise ConnectionError(
-            f"coordinator at {address} replied {reply.get('type')!r} at "
-            f"protocol version {reply.get('version')!r}; this peer "
-            f"speaks version {PROTOCOL_VERSION}")
-    sock.settimeout(None)
-    return sock

@@ -44,7 +44,8 @@ fleet) -- the same trust boundary as the local process pool.
 
 Frame types (the ``type`` field of every header) are enumerated as
 module constants below.  Every peer opens with ``hello`` and is
-answered ``welcome`` (or ``error``).  Clients drive ``submit``/
+answered ``welcome`` (or ``error``); :func:`connect` is that dial and
+handshake for every peer.  Clients drive ``submit``/
 ``status``/``shutdown``/``goodbye`` and may opt into the live status
 stream with ``subscribe`` (acked by ``subscribed``; pushed frames are
 ``status_update`` at the subscriber's requested period until the
@@ -63,12 +64,12 @@ frame that carries N leases or N results in one syscall.
 
 from __future__ import annotations
 
-import asyncio
 import importlib
 import json
 import pickle
 import socket
 import struct
+import time
 import zlib
 from typing import Any, Callable, Sequence
 
@@ -130,6 +131,12 @@ def split_batch(items: Sequence[Any], size_of: Callable[[Any], int],
 DEFAULT_PORT = 7461
 """The coordinator's default TCP port (single source: the CLI, the
 broker and address parsing all import it from here)."""
+
+# The broker's defaults, here rather than in aiobroker so the CLI can
+# build its parser without importing the broker (and asyncio).
+DEFAULT_LEASE_TIMEOUT = 300.0
+DEFAULT_WORKER_TIMEOUT = 15.0
+DEFAULT_MAX_ATTEMPTS = 3
 
 PROTOCOL_VERSION = 2
 """The wire version ``hello`` and ``welcome`` carry; a peer at any
@@ -283,23 +290,6 @@ def recv_message(sock: socket.socket,
     return _parse_body(body)
 
 
-async def recv_message_async(reader: asyncio.StreamReader,
-                             ) -> tuple[dict[str, Any], memoryview]:
-    """The :func:`recv_message` twin for asyncio streams (the broker's
-    per-peer reader tasks); same parsing, same error taxonomy."""
-    try:
-        prefix = await reader.readexactly(_LEN.size)
-        body_len, compressed = _check_prefix(_LEN.unpack(prefix)[0])
-        body = memoryview(await reader.readexactly(body_len))
-    except asyncio.IncompleteReadError as exc:
-        raise ConnectionClosed(
-            f"peer closed with {len(exc.partial)} partial frame bytes"
-        ) from exc
-    if compressed:
-        body = _inflate_body(body)
-    return _parse_body(body)
-
-
 def import_attr(module: str, qualname: str) -> Any:
     """Resolve ``module.qualname`` by import -- the unpickle half of the
     client's ``__main__``-rebinding submit pickler (see
@@ -421,3 +411,55 @@ def parse_address(address: str, default_port: int = DEFAULT_PORT,
     if not sep:
         return (address or "127.0.0.1"), default_port
     return (host or "127.0.0.1"), int(port)
+
+
+def connect(address: str, role: str, name: str = "",
+            timeout: float = 10.0, retry_period: float = 0.1,
+            slots: int | None = None) -> socket.socket:
+    """Dial a coordinator and complete the hello/welcome handshake,
+    retrying the dial until ``timeout`` so freshly started peers can
+    race the listener up.  Shared by the worker agent, the client
+    runner, the CLI and the obs bridge.
+
+    Raises :class:`ConnectionError` when the coordinator answers with
+    an ``error`` frame (a protocol version it does not speak) or
+    welcomes at a version other than :data:`PROTOCOL_VERSION`.
+    """
+    host, port = parse_address(address)
+    deadline = time.monotonic() + timeout
+    last_error: Exception | None = None
+    while True:
+        try:
+            sock = socket.create_connection((host, port), timeout=timeout)
+            break
+        except OSError as exc:
+            last_error = exc
+            if time.monotonic() >= deadline:
+                raise ConnectionError(
+                    f"could not reach coordinator at {address}: "
+                    f"{last_error}") from last_error
+            time.sleep(retry_period)
+    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+    hello: dict[str, Any] = {"type": MSG_HELLO, "role": role, "name": name,
+                             "version": PROTOCOL_VERSION}
+    if slots is not None:
+        hello["slots"] = slots
+    try:
+        send_message(sock, hello)
+        reply, _payload = recv_message(sock)
+    except BaseException:
+        sock.close()
+        raise
+    if reply.get("type") == MSG_ERROR:
+        sock.close()
+        raise ConnectionError(f"coordinator at {address} refused the "
+                              f"handshake: {reply.get('error')}")
+    if (reply.get("type") != MSG_WELCOME
+            or reply.get("version") != PROTOCOL_VERSION):
+        sock.close()
+        raise ConnectionError(
+            f"coordinator at {address} replied {reply.get('type')!r} at "
+            f"protocol version {reply.get('version')!r}; this peer "
+            f"speaks version {PROTOCOL_VERSION}")
+    sock.settimeout(None)
+    return sock

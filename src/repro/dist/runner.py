@@ -40,12 +40,12 @@ import sys
 import types
 from typing import Any, Callable, Sequence
 
-from repro.dist import coordinator as coordinator_mod
 from repro.dist.fairshare import validate_weight
 from repro.dist.protocol import (
     MSG_RESULT,
     MSG_RESULT_BATCH,
     ConnectionClosed,
+    connect,
     frame_entries,
     import_attr,
     loads_payload,
@@ -152,9 +152,9 @@ class DistributedCampaignRunner:
     # ------------------------------------------------------------------
     def _connection(self) -> socket.socket:
         if self._sock is None:
-            self._sock = coordinator_mod.connect(
-                self.address, role="client", name=self.name,
-                timeout=self.connect_timeout)
+            self._sock = connect(self.address, role="client",
+                                 name=self.name,
+                                 timeout=self.connect_timeout)
         return self._sock
 
     def close(self) -> None:

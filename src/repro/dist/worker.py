@@ -34,17 +34,38 @@ executor, sends each result normally, and only then says goodbye --
 shrinking a fleet under load loses no work.  A SIGKILL mid-drain still
 looks like any crashed worker (no goodbye), so the coordinator's
 requeue path covers that too.
+
+**What the agent imports.**  Only the wire: this module needs
+:mod:`repro.dist.protocol` and the standard library, because the agent
+never unpickles a job -- it hands the opaque blob to its executor.
+``python -m repro.dist worker`` therefore dials in without loading the
+simulator or asyncio.  A pool child imports whatever a job names when
+it unpickles it, once per child; with ``processes = 0`` the jobs run,
+and import, in the agent's own process.
+
+**Fork, one pool at a time.**  Pools fork their children explicitly
+(``mp_context``), not with the platform default: Python 3.14 makes
+forkserver the Linux default, and a forkserver or spawn pool owner
+also starts a resource-tracker process.  A pool forks on its first
+submit, and again on the first submit after a broken pool is replaced,
+so every submit holds the module-level :data:`_FORK_LOCK`.  Two agents
+in one process (a thread-mode ``LocalCluster`` with ``processes >= 1``)
+would otherwise fork at once.  ``popen_fork`` opens a child's sentinel
+pipe, forks, and only then closes the pipe's write end in the parent;
+a child the other agent forks inside that window inherits the write
+end, so the first pool never sees its child exit when it dies, and
+the agent stalls.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import socket
 import threading
 import traceback
 from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
 from typing import Any
 
-from repro.dist import coordinator as coordinator_mod
 from repro.dist.protocol import (
     MSG_GOODBYE,
     MSG_HEARTBEAT,
@@ -55,6 +76,7 @@ from repro.dist.protocol import (
     MSG_SHUTDOWN,
     ConnectionClosed,
     ProtocolError,
+    connect,
     dumps_payload,
     entries_frame,
     entry_size,
@@ -66,6 +88,10 @@ from repro.dist.protocol import (
 )
 
 DEFAULT_HEARTBEAT_PERIOD = 2.0
+
+_FORK_LOCK = threading.Lock()
+"""Held around every executor submit, where a process pool forks, so
+no two agents in this process fork at the same time (module docs)."""
 
 
 def execute_job(payload: bytes) -> tuple[bool, Any]:
@@ -133,21 +159,25 @@ class WorkerAgent:
     # ------------------------------------------------------------------
     def _make_executor(self) -> Executor:
         if self.processes >= 1:
-            return ProcessPoolExecutor(max_workers=self.processes)
+            return ProcessPoolExecutor(
+                max_workers=self.processes,
+                mp_context=multiprocessing.get_context("fork"))
         return ThreadPoolExecutor(max_workers=max(1, self.slots),
                                   thread_name_prefix="dist-inline")
 
     def _submit(self, payload: bytes):
         """Submit one job, respawning a broken process pool in place."""
         assert self._executor is not None
-        try:
-            return self._executor.submit(execute_job, payload)
-        except RuntimeError:
-            # BrokenProcessPool (a prior job killed its child) leaves
-            # the executor unusable; recover like the local runner.
-            self._executor.shutdown(wait=False)
-            self._executor = self._make_executor()
-            return self._executor.submit(execute_job, payload)
+        with _FORK_LOCK:
+            try:
+                return self._executor.submit(execute_job, payload)
+            except RuntimeError:
+                # BrokenProcessPool (a prior job killed its child)
+                # leaves the executor unusable; recover like the local
+                # runner.
+                self._executor.shutdown(wait=False)
+                self._executor = self._make_executor()
+                return self._executor.submit(execute_job, payload)
 
     def _submit_job(self, job_id: str, attempt: int,
                     payload: bytes | memoryview) -> None:
@@ -299,9 +329,8 @@ class WorkerAgent:
     # ------------------------------------------------------------------
     def run(self) -> None:
         """Connect and serve until coordinator loss or :meth:`stop`."""
-        self._sock = coordinator_mod.connect(
-            self.address, role="worker", name=self.name,
-            timeout=self.connect_timeout, slots=self.slots)
+        self._sock = connect(self.address, role="worker", name=self.name,
+                             timeout=self.connect_timeout, slots=self.slots)
         self._executor = self._make_executor()
         heartbeat = threading.Thread(target=self._heartbeat_loop,
                                      name="dist-heartbeat", daemon=True)

@@ -84,8 +84,7 @@ class CoordinatorBridge:
 
     # ------------------------------------------------------------------
     def _run(self) -> None:
-        from repro.dist.coordinator import connect
-        from repro.dist.protocol import recv_message, send_message
+        from repro.dist.protocol import connect, recv_message, send_message
 
         backoff = 0.2
         while not self._stopped.is_set():

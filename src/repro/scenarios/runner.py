@@ -37,6 +37,7 @@ Throughput mechanics for large (100+-scenario) grids:
 from __future__ import annotations
 
 import gc
+import multiprocessing
 import os
 import re
 import time
@@ -190,7 +191,12 @@ class CampaignRunner:
             # recovers on the next run() like the per-run pool did.
             self.close()
         if self._pool is None:
-            self._pool = ProcessPoolExecutor(max_workers=self.max_workers)
+            # Fork, named rather than left to the platform default
+            # (forkserver on Linux from Python 3.14, which would add a
+            # resource-tracker process and a slower start).
+            self._pool = ProcessPoolExecutor(
+                max_workers=self.max_workers,
+                mp_context=multiprocessing.get_context("fork"))
             self._pool_finalizer = weakref.finalize(
                 self, _reap_pool, self._pool)
         return self._pool

@@ -23,10 +23,10 @@ import time
 import pytest
 
 from repro.dist import LocalCluster
-from repro.dist import coordinator as coordinator_mod
 from repro.dist.cluster import sleepy_echo
 from repro.dist.coordinator import Coordinator
 from repro.dist.protocol import (
+    connect,
     dumps_payload,
     loads_payload,
     pack_blob_list,
@@ -52,14 +52,13 @@ def _echo(x):
 # Wire-level fakes: a worker and a client as bare sockets
 # ----------------------------------------------------------------------
 def _fake_worker(address, slots=1, name="fake-worker"):
-    sock = coordinator_mod.connect(address, role="worker", name=name,
-                                   slots=slots)
+    sock = connect(address, role="worker", name=name, slots=slots)
     sock.settimeout(10.0)
     return sock
 
 
 def _fake_client(address, name="fake-client"):
-    sock = coordinator_mod.connect(address, role="client", name=name)
+    sock = connect(address, role="client", name=name)
     sock.settimeout(10.0)
     return sock
 

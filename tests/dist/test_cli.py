@@ -1,13 +1,13 @@
 """``python -m repro.dist``'s option defaults come from the modules
 that own them, so the CLI cannot drift from the library."""
 
-from repro.dist.aiobroker import (
+from repro.dist.cli import build_parser
+from repro.dist.protocol import (
     DEFAULT_LEASE_TIMEOUT,
     DEFAULT_MAX_ATTEMPTS,
+    DEFAULT_PORT,
     DEFAULT_WORKER_TIMEOUT,
 )
-from repro.dist.cli import build_parser
-from repro.dist.protocol import DEFAULT_PORT
 from repro.dist.worker import DEFAULT_HEARTBEAT_PERIOD
 
 

@@ -8,6 +8,7 @@ grid, honours the staged-commit store contract, and keeps the
 """
 
 import json
+import time
 
 import pytest
 
@@ -198,3 +199,15 @@ def test_shutdown_coordinator_stops_cluster():
         assert runner.map_jobs(_double, [21]) == [42]
         runner.shutdown_coordinator()
         assert cluster.coordinator._stopped.is_set()
+
+
+def test_wait_for_workers_fails_fast_when_a_worker_exits():
+    """A subprocess worker that exits before it registers makes the
+    wait raise at once, naming the worker and its exit code, instead of
+    sleeping out the timeout."""
+    with LocalCluster(n_workers=2, mode="subprocess") as cluster:
+        cluster.kill_worker(0)
+        start = time.monotonic()
+        with pytest.raises(RuntimeError, match="-9"):
+            cluster.wait_for_workers(timeout=30)
+        assert time.monotonic() - start < 5.0

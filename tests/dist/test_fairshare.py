@@ -22,10 +22,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.dist import coordinator as coordinator_mod
 from repro.dist.coordinator import Coordinator
 from repro.dist.fairshare import FairScheduler, validate_weight
 from repro.dist.protocol import (
+    connect,
     dumps_payload,
     loads_payload,
     pack_blob_list,
@@ -265,7 +265,7 @@ def test_fractional_weight_replenish_is_closed_form():
 # Wire level: the broker edge
 # ----------------------------------------------------------------------
 def _client(address, name):
-    sock = coordinator_mod.connect(address, role="client", name=name)
+    sock = connect(address, role="client", name=name)
     sock.settimeout(10.0)
     return sock
 
@@ -298,8 +298,7 @@ def _campaign_of(wire_key):
 
 
 def _fake_worker(address, slots=1, name="fw"):
-    sock = coordinator_mod.connect(address, role="worker", name=name,
-                                   slots=slots)
+    sock = connect(address, role="worker", name=name, slots=slots)
     sock.settimeout(10.0)
     return sock
 

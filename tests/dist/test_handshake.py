@@ -12,11 +12,12 @@ import threading
 
 import pytest
 
-from repro.dist import coordinator as coordinator_mod
+from repro.dist import protocol as protocol_mod
 from repro.dist.coordinator import Coordinator
 from repro.dist.protocol import (
     PROTOCOL_VERSION,
     ConnectionClosed,
+    connect,
     recv_message,
     send_message,
 )
@@ -47,10 +48,12 @@ def test_hello_at_another_version_is_refused(role, version):
 
 def test_connect_raises_with_the_refusal(monkeypatch):
     with Coordinator() as coordinator:
-        monkeypatch.setattr(coordinator_mod, "PROTOCOL_VERSION",
+        # connect() reads the version from protocol; the broker keeps
+        # its own bound copy, so it still speaks the real one.
+        monkeypatch.setattr(protocol_mod, "PROTOCOL_VERSION",
                             PROTOCOL_VERSION + 1)
         with pytest.raises(ConnectionError) as excinfo:
-            coordinator_mod.connect(coordinator.address, role="client")
+            connect(coordinator.address, role="client")
         message = str(excinfo.value)
         assert "refused" in message
         assert f"version {PROTOCOL_VERSION}" in message
@@ -79,7 +82,7 @@ def test_connect_rejects_a_welcome_at_another_version():
     server.start()
     try:
         with pytest.raises(ConnectionError) as excinfo:
-            coordinator_mod.connect(f"127.0.0.1:{port}", role="client")
+            connect(f"127.0.0.1:{port}", role="client")
         message = str(excinfo.value)
         assert f"version {PROTOCOL_VERSION}" in message
         assert f"version {PROTOCOL_VERSION + 1}" in message

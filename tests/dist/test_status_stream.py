@@ -15,10 +15,9 @@ from pathlib import Path
 import pytest
 
 from repro.dist import LocalCluster
-from repro.dist import coordinator as coordinator_mod
 from repro.dist.cli import format_status_line
 from repro.dist.cluster import sleepy_echo
-from repro.dist.protocol import recv_message, send_message
+from repro.dist.protocol import connect, recv_message, send_message
 
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -36,8 +35,8 @@ def cluster():
 
 
 def _subscribe(address, period=0.1, timeout=5.0):
-    sock = coordinator_mod.connect(address, role="client",
-                                   name="stream-test", timeout=10.0)
+    sock = connect(address, role="client", name="stream-test",
+                   timeout=10.0)
     sock.settimeout(timeout)
     send_message(sock, {"type": "subscribe", "period": period})
     header, _ = recv_message(sock)
