@@ -9,11 +9,14 @@ processes are attached to it.
 
 The contracts are preserved deliberately:
 
-- ``run`` ships the *same* module-level job function the local pool
-  uses (``repro.scenarios.runner._run_record``) with the same
-  ``(run_id, scenario)`` jobs, so the records -- and therefore
-  ``summarize()`` output -- are byte-identical to a local run of the
-  same grid;
+- both runners share one campaign body
+  (``repro.scenarios.runner._run_campaign``); this module supplies
+  only the transport, :meth:`DistributedCampaignRunner._settled`, which
+  yields each job as its result arrives.  ``run`` therefore ships the
+  *same* module-level job function the local pool uses
+  (``repro.scenarios.runner._run_record``) with the same ``(run_id,
+  scenario)`` jobs, and the records, ``summarize()`` output and
+  telemetry rows are byte-identical to a local run of the same grid;
 - results stream into the same staged-commit
   :class:`~repro.scenarios.store.ResultsStore` area as they arrive and
   only :meth:`~repro.scenarios.store.ResultsStore.commit_staged` over
@@ -21,7 +24,11 @@ The contracts are preserved deliberately:
   killed mid-flight (client, coordinator or workers) leaves the
   previously committed results intact;
 - ``map_jobs`` preserves job order in its return value even though
-  results arrive in completion order.
+  results arrive in completion order;
+- a batch abandoned before the coordinator's ``done`` (a callback that
+  raises, a result that fails to unpickle, an interrupt) closes the
+  connection, so the coordinator cancels the rest of the batch and the
+  next call dials afresh instead of reading the old batch's results.
 
 Jobs that permanently fail (a worker died ``max_attempts`` times while
 holding them) are *recorded*: ``run`` writes a failed-run record into
@@ -33,12 +40,13 @@ local pool propagates a worker exception.
 
 from __future__ import annotations
 
+import contextlib
 import io
 import pickle
 import socket
 import sys
 import types
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 from repro.dist.fairshare import validate_weight
 from repro.dist.protocol import (
@@ -53,7 +61,10 @@ from repro.dist.protocol import (
     recv_message,
     send_message,
 )
-from repro.scenarios.runner import CampaignResult, _run_record, _slug, summarize
+from repro.scenarios.runner import CampaignResult, _run_campaign
+# Not called here (the shared body calls it in its own module), but
+# perfbench's tracer wraps ``repro.dist.runner.summarize`` by name.
+from repro.scenarios.runner import summarize  # noqa: F401
 from repro.scenarios.spec import Scenario
 
 
@@ -196,15 +207,13 @@ class DistributedCampaignRunner:
     # ------------------------------------------------------------------
     # Fan-out core
     # ------------------------------------------------------------------
-    def _submit_and_collect(
-            self, fn: Callable[[Any], Any], jobs: Sequence[Any],
-            on_raw_result: Callable[[int, bool, Any], None] | None = None,
-    ) -> list[tuple[bool, Any, int]]:
-        """Ship ``(fn, job)`` pairs, gather ``(ok, value, attempts)`` in
-        job order.  ``on_raw_result(index, ok, value)`` streams each
-        settled job in completion order."""
+    def _settled(self, fn: Callable[[Any], Any], jobs: Sequence[Any]
+                 ) -> Iterator[tuple[int, bool, Any, int]]:
+        """Ship ``(fn, job)`` pairs and yield ``(index, ok, value,
+        attempts)`` for each job in completion order; ``value`` is the
+        result, or the error text of a job that permanently failed."""
         if not jobs:
-            return []
+            return
         sock = self._connection()
         job_ids = [f"j{i:06d}" for i in range(len(jobs))]
         blobs = [_dumps_portable((fn, job)) for job in jobs]
@@ -212,41 +221,40 @@ class DistributedCampaignRunner:
                                   "weight": self.weight}
         if self.max_attempts is not None:
             header["max_attempts"] = self.max_attempts
-        send_message(sock, header, pack_blob_list(blobs))
-        outcomes: dict[int, tuple[bool, Any, int]] = {}
-
-        def settle(meta: dict[str, Any], blob: Any) -> None:
-            index = int(str(meta["job_id"])[1:])
-            ok = bool(meta["ok"])
-            value = (loads_payload(blob) if ok
-                     else str(meta.get("error", "job failed")))
-            outcomes[index] = (ok, value, int(meta.get("attempts", 1)))
-            if on_raw_result is not None:
-                on_raw_result(index, ok, value)
-
-        while True:
-            try:
-                reply, payload = recv_message(sock)
-            except (ConnectionClosed, OSError) as exc:
-                self.close()
-                raise ConnectionError(
-                    f"lost coordinator at {self.address} with "
-                    f"{len(jobs) - len(outcomes)} job(s) outstanding"
-                ) from exc
-            kind = reply["type"]
-            if kind == MSG_RESULT or kind == MSG_RESULT_BATCH:
-                for meta, blob in frame_entries(reply, payload):
-                    settle(meta, blob)
-            elif kind == "done":
-                # The coordinator sends "done" strictly after the last
-                # result frame for this batch.
-                break
-            elif kind == "error":
-                self.close()
-                raise RuntimeError(f"coordinator rejected submission: "
-                                   f"{reply.get('error')}")
-        assert len(outcomes) == len(jobs)
-        return [outcomes[i] for i in range(len(jobs))]
+        outstanding = len(jobs)
+        try:
+            send_message(sock, header, pack_blob_list(blobs))
+            while True:
+                try:
+                    reply, payload = recv_message(sock)
+                except (ConnectionClosed, OSError) as exc:
+                    raise ConnectionError(
+                        f"lost coordinator at {self.address} with "
+                        f"{outstanding} job(s) outstanding") from exc
+                kind = reply["type"]
+                if kind == MSG_RESULT or kind == MSG_RESULT_BATCH:
+                    for meta, blob in frame_entries(reply, payload):
+                        ok = bool(meta["ok"])
+                        value = (loads_payload(blob) if ok
+                                 else str(meta.get("error", "job failed")))
+                        outstanding -= 1
+                        yield (int(str(meta["job_id"])[1:]), ok, value,
+                               int(meta.get("attempts", 1)))
+                elif kind == "done":  # sent after the batch's last result
+                    if outstanding:
+                        raise ConnectionError(
+                            f"coordinator at {self.address} ended a "
+                            f"batch with {outstanding} job(s) unsettled")
+                    return
+                elif kind == "error":
+                    raise RuntimeError(f"coordinator rejected submission: "
+                                       f"{reply.get('error')}")
+        except BaseException:
+            # Abandoned before "done": the batch's unread frames would
+            # desync the next call, so drop the connection (see module
+            # docs); the coordinator cancels the rest of the batch.
+            self.close()
+            raise
 
     # ------------------------------------------------------------------
     # CampaignRunner-compatible API
@@ -258,84 +266,27 @@ class DistributedCampaignRunner:
         back in job order; ``on_result(index, result)`` streams them in
         completion order.  Raises :class:`DistributedJobError` if any
         job was permanently lost."""
-        jobs = list(jobs)
-        if not jobs:
-            return []
-
-        def stream(index: int, ok: bool, value: Any) -> None:
-            if ok and on_result is not None:
-                on_result(index, value)
-
-        outcomes = self._submit_and_collect(fn, jobs, stream)
-        failures = [(f"j{i:06d}", value)
-                    for i, (ok, value, _) in enumerate(outcomes) if not ok]
+        results: dict[int, Any] = {}
+        failures: list[tuple[str, str]] = []
+        with contextlib.closing(self._settled(fn, jobs)) as settled:
+            for index, ok, value, _attempts in settled:
+                if not ok:
+                    failures.append((f"j{index:06d}", value))
+                    continue
+                results[index] = value
+                if on_result is not None:
+                    on_result(index, value)
         if failures:
-            raise DistributedJobError(failures)
-        return [value for _ok, value, _attempts in outcomes]
+            raise DistributedJobError(sorted(failures))
+        return [results[i] for i in range(len(jobs))]
 
     def run(self, scenarios: Sequence[Scenario],
             on_result: Callable[[dict[str, Any]], None] | None = None,
             ) -> CampaignResult:
-        """Distributed twin of ``CampaignRunner.run``: same job ids,
-        same records, same staged-commit store writes, byte-identical
-        ``summary`` for a grid that completes cleanly.  Permanently
-        failed runs are committed as error records and listed on
-        ``CampaignResult.failed``."""
-        jobs = [(f"{i:03d}_{_slug(s.name)}_s{s.seed}", s)
-                for i, s in enumerate(scenarios)]
-        store = None
-        if self.results_dir is not None:
-            from repro.scenarios.store import ResultsStore
-
-            store = ResultsStore(self.results_dir)
-            store.discard_staged()
-            store.begin_staging()
-        obs_rows: list[dict[str, Any]] = []
-
-        def stream(index: int, ok: bool, value: Any) -> None:
-            if ok:
-                # Workers with telemetry enabled (REPRO_OBS=1 in their
-                # environment) attach a transient "obs" delta; strip it
-                # before staging so records stay byte-identical to
-                # obs-off runs, and route it to metrics.jsonl instead.
-                obs_row = value.pop("obs", None)
-                if obs_row is not None:
-                    obs_rows.append({"run_id": value["run_id"],
-                                     "metrics": obs_row})
-                if store is not None:
-                    store.stage_run(value["run_id"], value)
-                if on_result is not None:
-                    on_result(value)
-
-        try:
-            outcomes = self._submit_and_collect(_run_record, jobs, stream)
-        except BaseException:
-            if store is not None:
-                store.discard_staged()
-            raise
-        records: list[dict[str, Any]] = []
-        failed: list[dict[str, Any]] = []
-        for (run_id, scenario), (ok, value, attempts) in zip(jobs, outcomes):
-            if ok:
-                records.append(value)
-                continue
-            failure = {"run_id": run_id, "scenario": scenario.to_dict(),
-                       "error": str(value), "attempts": attempts}
-            failed.append(failure)
-            if store is not None:
-                store.stage_run(run_id, failure)
-        # Failure records ride into summarize() so failed_runs reflects
-        # them; aggregates still cover completed runs only.
-        result = CampaignResult(records=records,
-                                summary=summarize(records + failed),
-                                failed=failed)
-        if store is not None:
-            store.commit_staged()
-            store.save_summary(result.summary)
-            store.save_metrics_jsonl(obs_rows)
-            result.store_root = str(store.root)
-            if self.warehouse is not None:
-                from repro.scenarios.runner import _ingest_committed
-
-                _ingest_committed(self.warehouse, store.root, self.tenant)
-        return result
+        """Distributed twin of ``CampaignRunner.run``, through the same
+        campaign body: same job ids, same records, same staged-commit
+        store writes, byte-identical ``summary`` for a grid that
+        completes cleanly.  ``on_result(record)`` fires in completion
+        order.  Permanently failed runs are committed as error records
+        and listed on ``CampaignResult.failed``."""
+        return _run_campaign(self, scenarios, on_result)

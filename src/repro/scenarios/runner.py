@@ -21,21 +21,25 @@ Throughput mechanics for large (100+-scenario) grids:
   per-task pickle round trips ``Executor.map`` would otherwise pay one
   job at a time;
 - result records **stream**: each record is written to the results
-  store's staging area as it arrives from its worker (instead of
-  buffering the whole campaign in memory before the first byte hits
-  disk) and the staged set is committed over the previous campaign only
-  when the grid finishes -- a failed or interrupted campaign leaves the
-  previously persisted one intact.  Record order stays deterministic
-  (``map`` preserves submission order), so summaries and goldens are
-  unchanged;
+  store's staging area as it arrives from its worker, and the staged
+  set is committed over the previous campaign only when the grid
+  finishes -- a failed or interrupted campaign leaves the previously
+  persisted one intact.  The runner still keeps every record in memory
+  for ``CampaignResult.records``.  Records, summaries and telemetry
+  rows are kept in job order whatever order the jobs finish in, so
+  summaries and goldens are unchanged;
 - each run **frees its rig** before it returns: a rig is one reference
   cycle, so :func:`run_scenario` collects it at once instead of leaving
   it to the next automatic collection, which would land while the next
   rig is being built.  A worker holds one rig at a time.
+
+:func:`_run_campaign` is the campaign body of this runner and of the
+distributed one; each runner supplies only how its jobs settle.
 """
 
 from __future__ import annotations
 
+import contextlib
 import gc
 import multiprocessing
 import os
@@ -44,7 +48,7 @@ import time
 import weakref
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any, Sequence
+from typing import Any, Iterator, Sequence
 
 import repro.obs as obs_mod
 from repro.obs import instrument
@@ -220,6 +224,19 @@ class CampaignRunner:
     def _chunksize_for(self, n_jobs: int) -> int:
         return max(1, n_jobs // (self.max_workers * 4))
 
+    def _settled(self, fn, jobs: Sequence[Any]
+                 ) -> Iterator[tuple[int, bool, Any, int]]:
+        """Run ``fn`` over ``jobs`` and yield ``(index, True, result, 1)``
+        in job order (``map`` preserves submission order).  A job that
+        raises re-raises here: the local pool has no per-job retry."""
+        if not self.parallel:
+            stream = map(fn, jobs)
+        else:
+            stream = self._executor().map(
+                fn, jobs, chunksize=self._chunksize_for(len(jobs)))
+        for index, result in enumerate(stream):
+            yield index, True, result, 1
+
     def map_jobs(self, fn, jobs: Sequence[Any],
                  on_result=None) -> list[Any]:
         """Fan arbitrary picklable jobs across the persistent pool.
@@ -236,82 +253,97 @@ class CampaignRunner:
         runner, which shares this signature, fires it in completion
         order -- treat the index, not the call order, as the identity.
         """
-        if not self.parallel:
-            stream = map(fn, jobs)
-        else:
-            stream = self._executor().map(
-                fn, jobs, chunksize=self._chunksize_for(len(jobs)))
-        if on_result is None:
-            return list(stream)
         results = []
-        for index, result in enumerate(stream):
-            results.append(result)
-            on_result(index, result)
+        with contextlib.closing(self._settled(fn, jobs)) as settled:
+            for index, _ok, result, _attempts in settled:
+                results.append(result)
+                if on_result is not None:
+                    on_result(index, result)
         return results
 
     def run(self, scenarios: Sequence[Scenario],
             on_result=None) -> CampaignResult:
-        jobs = [(f"{i:03d}_{_slug(s.name)}_s{s.seed}", s)
-                for i, s in enumerate(scenarios)]
-        store = None
-        if self.results_dir is not None:
-            from repro.scenarios.store import ResultsStore
+        """Run the grid through :func:`_run_campaign`;
+        ``on_result(record)`` fires per run in job order."""
+        return _run_campaign(self, scenarios, on_result)
 
-            store = ResultsStore(self.results_dir)
-            # Leftovers from an interrupted earlier process must not mix
-            # into this campaign's staged set.
-            store.discard_staged()
-            store.begin_staging()
-        if self.parallel:
-            stream = self._executor().map(
-                _run_record, jobs, chunksize=self._chunksize_for(len(jobs)))
-        else:
-            stream = map(_run_record, jobs)
-        records = []
-        obs_rows: list[dict[str, Any]] = []
-        try:
-            for record in stream:  # ordered: map preserves submission order
-                # Telemetry deltas ride a transient key (see _run_record):
-                # strip them before the record is staged, summarized or
-                # digested, so obs-on records equal obs-off records.
-                obs_row = record.pop("obs", None)
-                if obs_row is not None:
-                    obs_rows.append({"run_id": record["run_id"],
-                                     "metrics": obs_row})
-                records.append(record)
+
+def _in_job_order(by_index: dict[int, Any]) -> list[Any]:
+    return [value for _index, value in sorted(by_index.items())]
+
+
+def _run_campaign(runner: Any, scenarios: Sequence[Scenario],
+                  on_result=None) -> CampaignResult:
+    """The campaign body of both runners.
+
+    ``runner._settled(fn, jobs)`` yields ``(index, ok, value, attempts)``
+    per job in any order; ``value`` is the record, or the error text of
+    a job that failed for good, which is committed as an error record
+    and listed on ``CampaignResult.failed``.  Records, failures and
+    telemetry rows are kept in job order whatever order jobs settle in.
+    """
+    jobs = [(f"{i:03d}_{_slug(s.name)}_s{s.seed}", s)
+            for i, s in enumerate(scenarios)]
+    store = None
+    if runner.results_dir is not None:
+        from repro.scenarios.store import ResultsStore
+
+        store = ResultsStore(runner.results_dir)
+        # Leftovers from an interrupted earlier process must not mix
+        # into this campaign's staged set.
+        store.discard_staged()
+        store.begin_staging()
+    records: dict[int, dict[str, Any]] = {}
+    failed: dict[int, dict[str, Any]] = {}
+    obs_rows: dict[int, dict[str, Any]] = {}
+    try:
+        with contextlib.closing(runner._settled(_run_record, jobs)) as settled:
+            for index, ok, value, attempts in settled:
+                run_id, scenario = jobs[index]
+                if ok:
+                    # Telemetry deltas ride a transient key (see
+                    # _run_record): strip them before the record is
+                    # staged, summarized or digested, so obs-on records
+                    # equal obs-off records.
+                    obs_row = value.pop("obs", None)
+                    if obs_row is not None:
+                        obs_rows[index] = {"run_id": run_id,
+                                           "metrics": obs_row}
+                    record = records[index] = value
+                else:
+                    record = failed[index] = {
+                        "run_id": run_id, "scenario": scenario.to_dict(),
+                        "error": str(value), "attempts": attempts}
                 if store is not None:
-                    store.stage_run(record["run_id"], record)
-                if on_result is not None:
+                    store.stage_run(run_id, record)
+                if ok and on_result is not None:
                     on_result(record)
-        except BaseException:
-            # The previously persisted campaign stays untouched.
-            if store is not None:
-                store.discard_staged()
-            raise
-        result = CampaignResult(records=records,
-                                summary=summarize(records))
+    except BaseException:
+        # The previously persisted campaign stays untouched.
         if store is not None:
-            # Commit replaces the previous campaign wholesale: a reused
-            # directory must describe only THIS campaign, or stale
-            # records from a previous (larger) grid would silently mix
-            # into load_runs().
-            store.commit_staged()
-            store.save_summary(result.summary)
-            # Same wholesale rule for the telemetry side channel: an
-            # empty row set removes a stale metrics.jsonl.
-            store.save_metrics_jsonl(obs_rows)
-            result.store_root = str(store.root)
-            if self.warehouse is not None:
-                _ingest_committed(self.warehouse, store.root, self.tenant)
-        return result
+            store.discard_staged()
+        raise
+    # Failure records ride into summarize() so failed_runs reflects
+    # them; aggregates still cover completed runs only.
+    result = CampaignResult(records=_in_job_order(records),
+                            failed=_in_job_order(failed))
+    result.summary = summarize(result.records + result.failed)
+    if store is not None:
+        # Commit replaces the previous campaign wholesale: a reused
+        # directory must describe only THIS campaign, or stale
+        # records from a previous (larger) grid would silently mix
+        # into load_runs().
+        store.commit_staged()
+        store.save_summary(result.summary)
+        # Same wholesale rule for the telemetry side channel: an
+        # empty row set removes a stale metrics.jsonl.
+        store.save_metrics_jsonl(_in_job_order(obs_rows))
+        result.store_root = str(store.root)
+        if runner.warehouse is not None:
+            from repro.warehouse import ingest_store
 
-
-def _ingest_committed(warehouse: Any, store_root, tenant: str) -> None:
-    """Stream a just-committed store into the opt-in warehouse target
-    (shared by the local and distributed runners)."""
-    from repro.warehouse import ingest_store
-
-    ingest_store(warehouse, store_root, tenant=tenant)
+            ingest_store(runner.warehouse, store.root, tenant=runner.tenant)
+    return result
 
 
 # ----------------------------------------------------------------------

@@ -271,8 +271,12 @@ class ResultsStore:
         return rows, skipped
 
     def save_summary(self, summary: dict[str, Any]) -> Path:
+        """Written via tmp + ``os.replace``: a crash mid-write leaves
+        the previous summary whole, never a torn file."""
         path = self.root / "campaign.json"
-        path.write_text(json.dumps(summary, indent=2, sort_keys=True))
+        tmp = path.with_suffix(".json.tmp")
+        tmp.write_text(json.dumps(summary, indent=2, sort_keys=True))
+        os.replace(tmp, path)
         return path
 
     def load_summary(self) -> dict[str, Any]:

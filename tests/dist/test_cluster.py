@@ -168,6 +168,39 @@ def test_job_exception_raises_distributed_job_error(cluster):
     assert runner.map_jobs(_double, [1]) == [2]
 
 
+def test_abandoned_batch_does_not_desync_the_next_call(cluster):
+    """A consumer that raises mid-batch leaves the rest of the batch's
+    frames unread; the next call on the same runner must get its own
+    results, not the abandoned batch's."""
+    runner = cluster.runner()
+
+    def give_up(_index, _result):
+        raise RuntimeError("consumer gave up")
+
+    jobs = [{"sleep_sec": 0.05, "value": i} for i in range(6)]
+    with pytest.raises(RuntimeError, match="consumer gave up"):
+        runner.map_jobs(sleepy_echo, jobs, on_result=give_up)
+    jobs = [{"sleep_sec": 0.0, "value": v} for v in "abc"]
+    assert runner.map_jobs(sleepy_echo, jobs) == ["a", "b", "c"]
+
+
+def test_run_writes_telemetry_rows_in_job_order(cluster, tmp_path):
+    """``metrics.jsonl`` rows follow job order, as the local runner
+    writes them, although later, shorter runs finish first."""
+    import repro.obs as obs
+
+    grid = [Scenario(f"obs-{i}", hil=fast_hil(), seed=i,
+                     duration_sec=12.0 - 2 * i) for i in range(6)]
+    obs.enable(obs.MetricsRegistry())
+    try:
+        result = cluster.runner(results_dir=str(tmp_path)).run(grid)
+    finally:
+        obs.disable()
+    rows = ResultsStore(tmp_path).load_metrics_jsonl()
+    assert [row["run_id"] for row in rows] == \
+        [record["run_id"] for record in result.records]
+
+
 def _raise_on_odd(x):
     if x % 2:
         raise ValueError(f"odd value {x}")

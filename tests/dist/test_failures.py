@@ -20,6 +20,7 @@ from repro.dist import (
 )
 from repro.dist.cluster import sleepy_echo
 from repro.scenarios import CampaignRunner, ResultsStore, Scenario
+from repro.scenarios.runner import _run_record
 from repro.scenarios.stock import fast_hil
 
 
@@ -115,9 +116,9 @@ def test_poison_job_burns_attempts_then_fails(tmp_path):
 
 def _crash_child_on_seed1(job):
     """Module-level sabotage (pickles by reference; pool children fork
-    from this process): seed 1 kills its executor child every time."""
-    from repro.scenarios.runner import _run_record
-
+    from this process): seed 1 kills its executor child every time.
+    The rest run the real ``_run_record``, bound at import, since the
+    module attribute is this twin while the test runs."""
     _run_id, scenario = job
     if scenario.seed == 1:
         os._exit(1)
@@ -129,7 +130,7 @@ def test_run_records_failed_runs_and_commits_survivors(tmp_path,
     """``run`` on a grid with one permanently-failing scenario commits
     the surviving records plus an error record, and lists the loss on
     ``CampaignResult.failed`` instead of raising."""
-    import repro.dist.runner as dist_runner_mod
+    import repro.scenarios.runner as scenarios_runner_mod
 
     with LocalCluster(n_workers=2, processes=1,
                       max_attempts=2) as cluster:
@@ -137,10 +138,10 @@ def test_run_records_failed_runs_and_commits_survivors(tmp_path,
         runner = cluster.runner(results_dir=str(tmp_path),
                                 max_attempts=2)
         grid = _grid(3)
-        # run() ships whatever ``_run_record`` names in its module, so
-        # swapping the symbol routes the same jobs through the
-        # sabotaged twin.
-        monkeypatch.setattr(dist_runner_mod, "_run_record",
+        # run() ships whatever ``_run_record`` names in the module of
+        # the shared campaign body, so swapping the symbol routes the
+        # same jobs through the sabotaged twin.
+        monkeypatch.setattr(scenarios_runner_mod, "_run_record",
                             _crash_child_on_seed1)
         result = runner.run(grid)
     assert len(result.records) == 2

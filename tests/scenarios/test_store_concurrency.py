@@ -115,6 +115,27 @@ def test_discard_staged_cleans_torn_writes(tmp_path):
     assert not (tmp_path / "runs.staging").exists()
 
 
+def test_interrupted_save_summary_keeps_previous_summary(tmp_path,
+                                                        monkeypatch):
+    """A process killed while writing ``campaign.json`` leaves the
+    previous summary readable, not a torn file."""
+    from pathlib import Path
+
+    store = ResultsStore(tmp_path)
+    store.save_summary({"total_runs": 1})
+    real_write = Path.write_text
+
+    def dying_write(self, text, *args, **kwargs):
+        real_write(self, text[:len(text) // 2], *args, **kwargs)
+        raise KeyboardInterrupt  # stand-in for SIGKILL mid-write
+
+    monkeypatch.setattr(Path, "write_text", dying_write)
+    with pytest.raises(KeyboardInterrupt):
+        store.save_summary({"total_runs": 2, "failed_runs": 0})
+    monkeypatch.undo()
+    assert ResultsStore(tmp_path).load_summary() == {"total_runs": 1}
+
+
 def test_crash_during_staged_write_mid_campaign(tmp_path, monkeypatch):
     """Kill a campaign *inside* a staged record write: the previously
     committed campaign survives untouched, and the next campaign into
