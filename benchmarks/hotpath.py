@@ -98,7 +98,7 @@ def bench_engine_events(n_events: int = 200_000) -> float:
 
 
 # ----------------------------------------------------------------------
-# Process: generator resume path (the MAC inner-loop shape)
+# Process: generator resume path (the B-MAC/S-MAC inner-loop shape)
 # ----------------------------------------------------------------------
 def bench_process_resumes(n_resumes: int = 150_000) -> float:
     """A generator process ping-ponging ``yield Delay(...)``, the exact

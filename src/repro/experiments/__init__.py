@@ -13,15 +13,30 @@ benchmarks.  Each maps to an entry of DESIGN.md's per-experiment index:
 - :mod:`~repro.experiments.fig1` -- Virtual Component composition and
   BQP/greedy assignment (Fig. 1);
 - :mod:`~repro.experiments.metrics` -- series and latency utilities.
+
+The names in ``__all__`` resolve on first use (PEP 562), as in
+:mod:`repro.dist`: importing one harness, such as
+:mod:`~repro.experiments.widegrid`, does not load the plant and the HIL
+rig along with the package.
 """
 
-from repro.experiments.fig6 import Fig6Config, Fig6Result, run_fig6
-from repro.experiments.hil import HilConfig, HilRig
+import importlib
 
-__all__ = [
-    "HilConfig",
-    "HilRig",
-    "Fig6Config",
-    "Fig6Result",
-    "run_fig6",
-]
+_HOMES = {
+    "HilConfig": "repro.experiments.hil",
+    "HilRig": "repro.experiments.hil",
+    "Fig6Config": "repro.experiments.fig6",
+    "Fig6Result": "repro.experiments.fig6",
+    "run_fig6": "repro.experiments.fig6",
+}
+
+__all__ = list(_HOMES)
+
+
+def __getattr__(name: str):
+    home = _HOMES.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(home), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value

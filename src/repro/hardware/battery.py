@@ -38,20 +38,26 @@ class Battery:
     def __init__(self, engine, spec: BatterySpec | None = None,
                  raise_when_empty: bool = False) -> None:
         self.engine = engine
-        self.spec = spec or BatterySpec()
+        self.spec = spec = spec or BatterySpec()
         self.charge_drawn = 0.0  # coulombs consumed net of solar
         self.raise_when_empty = raise_when_empty
         self._start_time = engine.now
+        # Copies for draw(), which every radio transition calls (the spec
+        # is frozen).
+        self._solar_current_a = spec.solar_current_a
+        self._capacity_coulombs = spec.capacity_coulombs
 
     def draw(self, current_a: float, duration_ticks: int) -> None:
         """Consume ``current_a`` amperes for ``duration_ticks`` of sim time."""
-        if current_a < 0:
-            raise ValueError(f"negative current {current_a}")
-        if duration_ticks < 0:
-            raise ValueError(f"negative duration {duration_ticks}")
-        effective = max(0.0, current_a - self.spec.solar_current_a)
+        if current_a < 0 or duration_ticks < 0:
+            raise ValueError(f"negative current {current_a}" if current_a < 0
+                             else f"negative duration {duration_ticks}")
+        effective = current_a - self._solar_current_a
+        if not effective > 0.0:  # max(0.0, effective), without the call
+            effective = 0.0
         self.charge_drawn += effective * (duration_ticks / SEC)
-        if self.raise_when_empty and self.depleted:
+        if self.raise_when_empty and \
+                self.charge_drawn >= self._capacity_coulombs:
             raise BatteryDepleted(
                 f"battery depleted after {self.charge_drawn:.1f} C")
 

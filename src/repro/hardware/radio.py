@@ -78,6 +78,9 @@ class Radio:
         self._currents = (spec.off_current_a, spec.idle_current_a,
                           spec.rx_current_a, spec.tx_current_a)
         self._state_ticks = [0, 0, 0, 0]
+        # Startup from OFF is charged as idle current (the spec is frozen).
+        self._startup_current_a = spec.idle_current_a
+        self._startup_ticks = spec.startup_ticks
         self.tx_count = 0
         self.rx_count = 0
 
@@ -86,12 +89,19 @@ class Radio:
     # ------------------------------------------------------------------
     def set_state(self, new_state: RadioState) -> None:
         """Transition the radio, charging the battery for the elapsed state."""
-        if new_state is self.state:
+        state = self.state
+        if new_state is state:
             return
-        self._settle()
-        if self.state is _OFF and new_state is not _OFF:
-            # Account startup as idle-current time.
-            self.battery.draw(self.spec.idle_current_a, self.spec.startup_ticks)
+        # _settle, inline: this runs on every transition of every node.
+        now = self._clock._now
+        elapsed = now - self._state_since
+        if elapsed > 0:
+            index = self._index
+            self.battery.draw(self._currents[index], elapsed)
+            self._state_ticks[index] += elapsed
+        self._state_since = now
+        if state is _OFF:  # ...and new_state is not: account the startup
+            self.battery.draw(self._startup_current_a, self._startup_ticks)
         self.state = new_state
         self._index = new_state.index
 

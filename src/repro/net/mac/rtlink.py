@@ -10,6 +10,18 @@ own slots, which is where the multi-year lifetime comes from.
 Slot timing is computed from each node's *local* clock, so synchronization
 error is exercised for real: if jitter exceeded the guard time, frames would
 collide or be missed at slot edges.
+
+The slot engine is a posted-callback state machine rather than a generator
+:class:`~repro.sim.process.Process`.  Each wait -- to a slot's wake-up, to
+the local slot start, through a frame's airtime, to the end of an RX slot,
+or a whole frame while the node is failed or has no slots -- is one
+``engine.post`` of a bound method that carries the MAC's *generation
+token*.  ``start`` and ``stop`` bump the token, so a wait armed before them
+pops as a no-op (the idiom of ``Process`` and the RTOS release chains; see
+:mod:`repro.sim.engine`).  The next slot is the next entry of the node's
+:class:`~repro.net.mac.slotwheel.SlotWheel`; the wheel's bisect runs only
+to seek: at start, a frame after a failure or an empty wheel, and after a
+schedule change.
 """
 
 from __future__ import annotations
@@ -18,11 +30,14 @@ from dataclasses import dataclass
 
 from repro.hardware.radio import RadioState
 from repro.net.mac.base import MacProtocol
-from repro.net.mac.slotwheel import SlotWheel
+from repro.net.mac.slotwheel import SLOT_RX, SLOT_TX, SlotWheel
 from repro.net.packet import Packet
 from repro.obs import instrument
 from repro.sim.clock import MS, US
-from repro.sim.process import Delay, Process
+
+# Module-level aliases: a member read through the enum class goes through
+# EnumType.__getattr__.
+_RX, _OFF, _IDLE = RadioState.RX, RadioState.OFF, RadioState.IDLE
 
 
 @dataclass(frozen=True)
@@ -83,8 +98,10 @@ class RtLinkSchedule:
     def transmitter(self, slot: int) -> str | None:
         return self._tx.get(slot)
 
-    def listeners(self, slot: int) -> set[str]:
-        return self._rx.get(slot, set())
+    def listeners(self, slot: int) -> frozenset[str]:
+        # A copy: adding to the schedule's own set would not bump
+        # ``version``, so no index or SlotWheel would ever see the change.
+        return frozenset(self._rx.get(slot, ()))
 
     def _reindex(self) -> None:
         tx_by_node: dict[str, list[int]] = {}
@@ -135,20 +152,36 @@ class RtLinkSchedule:
 
 
 class RtLinkMac(MacProtocol):
-    """Per-node RT-Link state machine."""
+    """Per-node RT-Link state machine.
+
+    Between callbacks the slot engine keeps: ``_cursor``, the absolute
+    slot a seek starts from; ``_base`` and ``_index``, the wheel entry of
+    the next slot (``_index`` is -1 while the next lookup must seek);
+    ``_slot_start`` and ``_slot_kind``, the slot being serviced (local
+    ticks); and ``_sent``, the frames sent in the current TX slot.
+    """
 
     def __init__(self, engine, node, port, schedule: RtLinkSchedule,
                  queue_capacity: int = 16) -> None:
         super().__init__(engine, node, port, queue_capacity)
         self.schedule = schedule
         self.config = schedule.config
-        self._process: Process | None = None
         self._wheel: SlotWheel | None = None
         self.slots_woken = 0
         self.slots_transmitted = 0
         # Slot boundaries are a few hundred Hz of sim time: cool enough
         # to meter per occurrence.
         self._obs = instrument.rtlink_meters()
+        self._post = engine.post
+        self._radio = node.radio
+        self._clock = node.clock
+        self._token = 0
+        self._cursor = 0
+        self._base = 0
+        self._index = -1
+        self._slot_start = 0
+        self._slot_kind = SLOT_RX
+        self._sent = 0
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -158,105 +191,147 @@ class RtLinkMac(MacProtocol):
             return
         self.running = True
         self.port.sleep()
-        self._process = Process(self.engine, self._run(),
-                                name=f"rtlink:{self.node_id}")
+        self._token += 1
+        self._post(0, self._begin, self._token, None)
 
     def stop(self) -> None:
         super().stop()
-        if self._process is not None:
-            self._process.kill()
-            self._process = None
+        self._token += 1  # the armed wait now pops as a no-op
 
     # ------------------------------------------------------------------
     # Slot engine
     # ------------------------------------------------------------------
-    def _calendar(self) -> SlotWheel:
-        """The node's slot wheel, rebuilt iff the schedule version moved."""
-        wheel = self._wheel
-        if wheel is None or wheel.version != self.schedule.version:
-            wheel = self._wheel = SlotWheel(self.node_id, self.schedule)
-        return wheel
+    def _begin(self, token: int, cursor: int | None) -> None:
+        """Seek from ``cursor``, or from the slot after the local clock's
+        (at start, and a frame after the node was found failed)."""
+        if token != self._token:
+            return
+        if cursor is None:
+            cursor = self._clock.local_time() // self.config.slot_ticks + 1
+        self._cursor = cursor
+        self._index = -1
+        self._next()
 
-    def _run(self):
+    def _next(self) -> None:
+        """Find the next interesting slot and arm its wake-up; when the
+        wake-up is already due (it ran late, or slots are back to back,
+        as at gateways), service the slot here and look again."""
         cfg = self.config
-        slot_ticks = cfg.slot_ticks
-        guard_ticks = cfg.guard_ticks
         node = self.node
-        clock = node.clock
-        radio = node.radio
-        port = self.port
-        rx = RadioState.RX
-        # Cursor over absolute slot numbers: servicing a slot never causes
-        # the next one to be skipped, even when wake-up runs late
-        # (back-to-back RX slots are common at gateways).
-        cursor = clock.local_time() // slot_ticks + 1
-        while self.running:
+        schedule = self.schedule
+        while True:
             if node.failed:
-                yield Delay(cfg.frame_ticks)
-                cursor = clock.local_time() // slot_ticks + 1
-                continue
-            upcoming = self._calendar().next_interesting(cursor)
-            if upcoming is None:
-                yield Delay(cfg.frame_ticks)
-                cursor += cfg.slots_per_frame
-                continue
-            abs_slot, kind = upcoming
-            cursor = abs_slot + 1
-            slot_start_local = abs_slot * slot_ticks
-            wake_local = slot_start_local - guard_ticks
-            local_now = clock.local_time()
-            if wake_local > local_now:
-                yield Delay(wake_local - local_now)
-            if not self.running or node.failed:
-                continue
-            self.slots_woken += 1
-            if self._obs is not None:
-                self._obs.slots_woken.inc()
-            if kind == "tx":
-                yield from self._tx_slot(slot_start_local)
-                continue
-            # RX slot, run inline: listen through the end of the slot plus
-            # a guard, however late the wake-up was (never past the *next*
-            # slot's guard window).
-            port.listen()
-            remaining = (slot_start_local + slot_ticks + guard_ticks
-                         - clock.local_time())
-            if remaining > 0:
-                yield Delay(remaining)
-            if radio.state is rx:
-                port.sleep()
+                self._post(cfg.frame_ticks, self._begin, self._token, None)
+                return
+            wheel = self._wheel
+            if wheel is None or wheel.version != schedule.version:
+                wheel = self._wheel = SlotWheel(self.node_id, schedule)
+                self._index = -1
+            index = self._index
+            if index < 0:
+                found = wheel.seek(self._cursor)
+                if found is None:
+                    self._post(cfg.frame_ticks, self._begin, self._token,
+                               self._cursor + cfg.slots_per_frame)
+                    return
+                self._base, index = found
+            offsets = wheel.offsets
+            abs_slot = self._base + offsets[index]
+            self._slot_kind = wheel.kinds[index]
+            # The cursor over absolute slots: servicing a slot never
+            # causes the next one to be skipped, even when the wake-up
+            # runs late.  The next entry, wrapping into the next frame,
+            # is what a seek from the cursor would find.
+            self._cursor = abs_slot + 1
+            index += 1
+            if index == len(offsets):
+                index = 0
+                self._base += cfg.slots_per_frame
+            self._index = index
+            self._slot_start = slot_start = abs_slot * cfg.slot_ticks
+            wait = slot_start - cfg.guard_ticks - self._clock.local_time()
+            if wait > 0:
+                self._post(wait, self._wake, self._token)
+                return
+            if not self._service():
+                return
 
-    def _tx_slot(self, slot_start_local: int):
+    def _wake(self, token: int) -> None:
+        if token != self._token:
+            return
+        if self.node.failed or self._service():
+            self._next()
+
+    def _service(self) -> bool:
+        """Run the slot just woken for; False when it armed a wait."""
+        self.slots_woken += 1
+        if self._obs is not None:
+            self._obs.slots_woken.inc()
+        radio = self._radio
+        if self._slot_kind == SLOT_TX:
+            radio.set_state(_IDLE)
+            self._sent = 0
+            # Hold until the slot actually starts on the local clock.
+            gap = self._slot_start - self._clock.local_time()
+            if gap > 0:
+                self._post(gap, self._tx_resume, self._token)
+                return False
+            return self._tx_next()
+        # RX: listen through the end of the slot plus a guard, however
+        # late the wake-up was (never past the *next* slot's guard window).
         cfg = self.config
-        self.port.idle()
-        # Hold until the slot actually starts on the local clock.
-        gap = slot_start_local - self.node.clock.local_time()
-        if gap > 0:
-            yield Delay(gap)
-        # Pack frames into the slot while their airtime fits before the
-        # trailing guard: control frames first, then bulk (migration,
-        # capsule fragments) in the leftover airtime -- so bulk transfers
-        # make progress without a second slot and without ever displacing
-        # control traffic.
-        slot_end_local = slot_start_local + cfg.slot_ticks - cfg.guard_ticks
-        transmitted = 0
-        while self.has_pending and not self.node.failed:
+        radio.set_state(_RX)
+        remaining = (self._slot_start + cfg.slot_ticks + cfg.guard_ticks
+                     - self._clock.local_time())
+        if remaining > 0:
+            self._post(remaining, self._rx_end, self._token)
+            return False
+        if radio.state is _RX:
+            radio.set_state(_OFF)
+        return True
+
+    def _rx_end(self, token: int) -> None:
+        if token != self._token:
+            return
+        radio = self._radio
+        if radio.state is _RX:
+            radio.set_state(_OFF)
+        self._next()
+
+    def _tx_next(self) -> bool:
+        """Send the next frame if its airtime fits before the trailing
+        guard and arm the wait through it; True once the slot is over.
+
+        Control frames leave first, then bulk (migration, capsule
+        fragments) in the leftover airtime -- so bulk transfers make
+        progress without a second slot and without ever displacing
+        control traffic.
+        """
+        if self.has_pending and not self.node.failed:
+            cfg = self.config
             packet = self.peek()
-            airtime = self.node.radio.airtime(packet.on_air_bytes)
-            if self.node.clock.local_time() + airtime > slot_end_local:
-                break
-            self.dequeue()
-            self.port.transmit(packet, after_state=RadioState.IDLE)
-            self.stats.sent += 1
-            transmitted += 1
-            yield Delay(airtime)
-        if transmitted:
+            airtime = self._radio.airtime(packet.on_air_bytes)
+            slot_end = self._slot_start + cfg.slot_ticks - cfg.guard_ticks
+            if self._clock.local_time() + airtime <= slot_end:
+                self.dequeue()
+                self.port.transmit(packet, after_state=_IDLE)
+                self.stats.sent += 1
+                self._sent += 1
+                self._post(airtime, self._tx_resume, self._token)
+                return False
+        sent = self._sent
+        if sent:
             self.slots_transmitted += 1
         if self._obs is not None:
-            self._obs.slot_frames.observe(transmitted)
-            if transmitted:
+            self._obs.slot_frames.observe(sent)
+            if sent:
                 self._obs.slots_transmitted.inc()
-        self.port.sleep()
+        self._radio.set_state(_OFF)
+        return True
+
+    def _tx_resume(self, token: int) -> None:
+        if token == self._token and self._tx_next():
+            self._next()
 
     def send(self, packet: Packet) -> bool:
         airtime = self.node.radio.airtime(packet.on_air_bytes)

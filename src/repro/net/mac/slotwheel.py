@@ -13,6 +13,12 @@ The wheel is a pure read-model: it is built from
 schedule's ``version``.  ``RtLinkMac`` rebuilds it whenever the stamp no
 longer matches (``assign``/``clear`` bump the version), so calendars
 never go stale under live reconfiguration.
+
+Between seeks the MAC does not bisect at all: it walks the entries in
+order, wrapping into the next frame after the last.  That is exact
+because the offsets are unique and sorted: the entry after the one at
+``frame_base + offsets[i]`` is what :meth:`SlotWheel.seek` would find
+from the slot after it.
 """
 
 from __future__ import annotations
@@ -30,8 +36,8 @@ SLOT_RX = "rx"
 class SlotWheel:
     """One node's interesting-slot calendar for a schedule version."""
 
-    __slots__ = ("node_id", "version", "slots_per_frame", "_offsets",
-                 "_kinds")
+    __slots__ = ("node_id", "version", "slots_per_frame", "offsets",
+                 "kinds")
 
     def __init__(self, node_id: str, schedule: "RtLinkSchedule") -> None:
         self.node_id = node_id
@@ -40,11 +46,29 @@ class SlotWheel:
         entries = sorted(
             [(slot, SLOT_TX) for slot in schedule.tx_slots_of(node_id)]
             + [(slot, SLOT_RX) for slot in schedule.rx_slots_of(node_id)])
-        self._offsets = [slot for slot, _ in entries]
-        self._kinds = [kind for _, kind in entries]
+        self.offsets = tuple(slot for slot, _ in entries)
+        self.kinds = tuple(kind for _, kind in entries)
 
     def __len__(self) -> int:
-        return len(self._offsets)
+        return len(self.offsets)
+
+    def seek(self, from_abs_slot: int) -> tuple[int, int] | None:
+        """``(frame_base, index)`` of the first interesting slot at or
+        after ``from_abs_slot``: that slot is ``frame_base +
+        offsets[index]`` and its kind ``kinds[index]``.
+
+        ``None`` when the node has no interesting slots at all.
+        """
+        offsets = self.offsets
+        if not offsets:
+            return None
+        frame, offset = divmod(from_abs_slot, self.slots_per_frame)
+        index = bisect_left(offsets, offset)
+        if index == len(offsets):
+            # Nothing left this frame: wrap to the first entry of the next.
+            frame += 1
+            index = 0
+        return frame * self.slots_per_frame, index
 
     def next_interesting(self, from_abs_slot: int) -> tuple[int, str] | None:
         """First ``(abs_slot, kind)`` at or after ``from_abs_slot``.
@@ -54,18 +78,12 @@ class SlotWheel:
         ``"rx"``; a slot is never both (listeners exclude the
         transmitter).
         """
-        offsets = self._offsets
-        if not offsets:
+        found = self.seek(from_abs_slot)
+        if found is None:
             return None
-        frame, offset = divmod(from_abs_slot, self.slots_per_frame)
-        index = bisect_left(offsets, offset)
-        if index == len(offsets):
-            # Nothing left this frame: wrap to the first entry of the next.
-            frame += 1
-            index = 0
-        return frame * self.slots_per_frame + offsets[index], \
-            self._kinds[index]
+        frame_base, index = found
+        return frame_base + self.offsets[index], self.kinds[index]
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"SlotWheel({self.node_id!r}, v{self.version}, "
-                f"{len(self._offsets)}/{self.slots_per_frame} slots)")
+                f"{len(self.offsets)}/{self.slots_per_frame} slots)")

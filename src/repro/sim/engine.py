@@ -21,11 +21,13 @@ through :meth:`Engine.run` (drain the queue) or :meth:`Engine.run_until`
 :meth:`Engine._dispatch`, run to an infinite or a given horizon.
 
 Callers that *rarely* cancel should not pay for ``schedule`` either: the
-idiom used by :class:`~repro.sim.process.Process` and the RTOS periodic
-release/replenish chains is a **generation token** -- post the event with a
-monotonically increasing generation baked into its arguments and have the
-callback drop stale generations, so "cancellation" is an integer bump and
-the armed path allocates nothing.  The stale entry dispatches as a no-op
+idiom used by :class:`~repro.sim.process.Process` (B-MAC, S-MAC), the
+RT-Link slot engine (:class:`~repro.net.mac.rtlink.RtLinkMac`, whose
+``start``/``stop`` bump the token) and the RTOS periodic release/replenish
+chains is a **generation token** -- post the event with a monotonically
+increasing generation baked into its arguments and have the callback drop
+stale generations, so "cancellation" is an integer bump and the armed path
+allocates nothing.  The stale entry dispatches as a no-op
 (and therefore counts in ``dispatched_count``), whereas a cancelled handle
 is skipped; total order of live events is identical either way.
 """

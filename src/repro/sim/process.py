@@ -1,7 +1,8 @@
 """Generator-based simulation processes.
 
-Long-lived stateful behaviours (the B-MAC/S-MAC/RT-Link state machines)
-read naturally as generators that yield *wait requests*:
+Long-lived stateful behaviours (the B-MAC and S-MAC state machines, the
+comparison baselines) read naturally as generators that yield *wait
+requests*:
 
     def beacon(node):
         while True:
@@ -19,6 +20,11 @@ through the engine's fire-and-forget ``post`` path with the generation
 baked into the callback arguments.  ``kill`` just bumps the generation,
 which turns the in-flight resume into a no-op when it pops -- the MAC
 inner loops allocate nothing per ``Delay`` resume.
+
+RT-Link, the MAC every workload runs, does not use a process: a
+generator resume per slot edge was the largest share of a wide-grid
+trial, so its slot loop posts bound-method callbacks with the same kind
+of token (:mod:`repro.net.mac.rtlink`).
 """
 
 from __future__ import annotations

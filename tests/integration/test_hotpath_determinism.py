@@ -90,15 +90,15 @@ def campaign_payload() -> str:
 
 
 # ----------------------------------------------------------------------
-# Workload 3: MAC-heavy trials (process-resume-dominated)
+# Workload 3: MAC-heavy trials (slot-wait-dominated)
 # ----------------------------------------------------------------------
 def mac_heavy_payload() -> str:
     """All three MAC protocols on a small mesh at a high event rate.
 
-    B-MAC/S-MAC/RT-Link all run as generator :class:`Process` loops, so
-    this run is dominated by ``yield Delay(...)`` resumes -- it pins the
-    resume-token fast path (and the batched medium resolution feeding
-    it) to the seed semantics, stats, energy accounting and latencies.
+    B-MAC and S-MAC run as generator :class:`Process` loops and RT-Link
+    as posted slot callbacks, so this run is dominated by token-guarded
+    waits -- it pins both (and the batched medium resolution feeding
+    them) to the seed semantics, stats, energy accounting and latencies.
     """
     from repro.experiments.mac_comparison import run_mac_trial
 

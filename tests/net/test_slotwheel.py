@@ -1,11 +1,15 @@
 """SlotWheel calendar and the versioned RtLinkSchedule indexes.
 
 The wheel must be *provably* equivalent to the naive per-slot walker the
-MAC used before the calendar existed: the hypothesis property below
-replays random schedules, frame geometries and live assign/clear
-mutations through both and demands identical TX/RX slot transcripts.
+MAC used before the calendar existed: the hypothesis properties below
+replay random schedules, frame geometries and live assign/clear
+mutations through both and demand identical TX/RX slot transcripts, for
+both ways the MAC reads the wheel -- a bisect per lookup
+(``next_interesting``) and the index walk ``RtLinkMac`` makes between
+seeks (:class:`WheelWalker`).
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -27,9 +31,9 @@ def naive_next_interesting(schedule: RtLinkSchedule, node_id: str,
 
 
 def transcript(next_fn, from_slot: int, spf: int, length: int):
-    """Walk ``length`` interesting slots the way ``RtLinkMac._run`` does:
-    service the slot, advance the cursor past it; jump a frame when the
-    node has nothing at all."""
+    """Walk ``length`` interesting slots with a lookup per slot: service
+    the slot, advance the cursor past it; jump a frame when the node has
+    nothing at all."""
     out, cursor = [], from_slot
     for _ in range(length):
         upcoming = next_fn(cursor)
@@ -41,6 +45,40 @@ def transcript(next_fn, from_slot: int, spf: int, length: int):
         out.append((abs_slot, kind))
         cursor = abs_slot + 1
     return out
+
+
+class WheelWalker:
+    """The lookup ``RtLinkMac._next`` makes: seek once, then step through
+    the wheel's entries by index, wrapping into the next frame after the
+    last; seek again only after an empty frame or on a rebuilt wheel."""
+
+    def __init__(self, wheel: SlotWheel, cursor: int) -> None:
+        self.wheel = wheel
+        self.cursor = cursor
+        self.base = 0
+        self.index = -1
+
+    def rebuild(self, wheel: SlotWheel) -> None:
+        """A schedule version change: the next step seeks."""
+        self.wheel = wheel
+        self.index = -1
+
+    def step(self):
+        wheel = self.wheel
+        if self.index < 0:
+            found = wheel.seek(self.cursor)
+            if found is None:
+                self.cursor += wheel.slots_per_frame
+                return None
+            self.base, self.index = found
+        abs_slot = self.base + wheel.offsets[self.index]
+        kind = wheel.kinds[self.index]
+        self.cursor = abs_slot + 1
+        self.index += 1
+        if self.index == len(wheel.offsets):
+            self.index = 0
+            self.base += wheel.slots_per_frame
+        return abs_slot, kind
 
 
 class TestScheduleIndexes:
@@ -97,6 +135,12 @@ class TestScheduleIndexes:
         schedule.free_slots().append(99)
         assert schedule.tx_slots_of("a") == [1]
         assert schedule.free_slots() == [0, 2, 4, 5, 7]
+        # Adding a listener by hand would not bump the version, so no
+        # index or wheel would see it until an unrelated assign did.
+        with pytest.raises(AttributeError):
+            schedule.listeners(1).add("d")
+        assert schedule.listeners(1) == {"b", "c"}
+        assert schedule.rx_slots_of("d") == []
 
     def test_listeners_never_include_transmitter(self):
         schedule = RtLinkSchedule(RtLinkConfig(slots_per_frame=4))
@@ -171,6 +215,8 @@ def test_wheel_transcript_matches_naive_walker(data, schedule):
         lambda cursor: naive_next_interesting(schedule, node_id, cursor),
         start, spf, length=2 * spf + 3)
     assert got == want
+    walker = WheelWalker(wheel, start)
+    assert [walker.step() for _ in range(2 * spf + 3)] == want
 
 
 @settings(max_examples=60, deadline=None)
@@ -178,10 +224,22 @@ def test_wheel_transcript_matches_naive_walker(data, schedule):
 def test_wheel_agrees_after_live_mutation(data, schedule):
     """assign/clear mid-walk: a rebuilt wheel (version changed) must track
     the mutated schedule exactly, the way ``RtLinkMac`` rebuilds its
-    calendar on a version mismatch."""
+    calendar on a version mismatch -- and an index walk that was part of
+    the way through the old wheel must seek on the new one from where it
+    stood."""
     spf = schedule.config.slots_per_frame
     node_id = data.draw(st.sampled_from(NODE_POOL), label="node")
     wheel = SlotWheel(node_id, schedule)
+    walk_from = data.draw(st.integers(min_value=0, max_value=2 * spf),
+                          label="walk_from")
+    walked = data.draw(st.integers(min_value=0, max_value=spf + 2),
+                       label="walked")
+    walker = WheelWalker(wheel, walk_from)
+    naive = transcript(
+        lambda cursor: naive_next_interesting(schedule, node_id, cursor),
+        walk_from, spf, length=walked)
+    assert [walker.step() for _ in range(walked)] == naive
+    cursor = walker.cursor
     version_before = schedule.version
     slot = data.draw(st.integers(min_value=0, max_value=spf - 1),
                      label="mutated_slot")
@@ -199,3 +257,7 @@ def test_wheel_agrees_after_live_mutation(data, schedule):
         lambda cursor: naive_next_interesting(schedule, node_id, cursor),
         start, spf, length=spf + 2)
     assert got == want
+    walker.rebuild(wheel)
+    assert [walker.step() for _ in range(spf + 2)] == transcript(
+        lambda cursor: naive_next_interesting(schedule, node_id, cursor),
+        cursor, spf, length=spf + 2)
